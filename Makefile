@@ -2,14 +2,15 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint docs linkcheck test test-race short bench bench-smoke batch-smoke fleet-smoke faults-smoke figures examples fuzz cover trace-demo clean
+.PHONY: all check build vet lint docs linkcheck test test-race short bench bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
 
 all: build test
 
 # One-stop verification: compile, vet, lint the determinism invariants,
 # check the documentation's relative links, full tests, race-detect
-# everything, then the batched-execution and fleet-control-plane smokes.
-check: build vet lint linkcheck test test-race batch-smoke fleet-smoke
+# everything, the batched-execution and fleet-control-plane smokes, then
+# regenerate results/ and require byte identity.
+check: build vet lint linkcheck test test-race batch-smoke fleet-smoke results-check
 
 build:
 	$(GO) build ./...
@@ -100,6 +101,17 @@ faults-smoke:
 # artifact's `python scripts/<exp>.py > results/<Figure>` workflow.
 figures:
 	$(GO) run ./cmd/medusa-bench -all -out results
+
+# Results gate: regenerate every exhibit into a temporary directory and
+# diff it against results/. It fails on any byte difference, on an
+# exhibit output missing from results/, and on a checked-in file no
+# exhibit renders unless it is on the hand-made list below.
+RESULTS_HANDMADE := perf-analysis.txt perf-simcore.txt trace-demo.json
+results-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/medusa-bench -all -out "$$tmp" >/dev/null && \
+	diff -r $(addprefix -x ,$(RESULTS_HANDMADE)) "$$tmp" results && \
+	echo "results-check: every exhibit matches results/ byte for byte"
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -28,7 +28,7 @@ func main() {
 	all := flag.Bool("all", false, "run every registered experiment")
 	list := flag.Bool("list", false, "list experiment ids")
 	format := flag.String("format", "text", "output format: text | csv")
-	outDir := flag.String("out", "", "also write each result to <dir>/<id>.txt (the artifact's results/ layout)")
+	outDir := flag.String("out", "", "also write each result to its results/ file in <dir> (<id>.txt; ext-fleet writes ext-fleet-sweep.txt)")
 	tracePath := flag.String("trace", "", "write the cold-start spans of the run as Chrome trace-event JSON to this file")
 	phases := flag.Bool("phases", false, "after running, print per-strategy cold-start phase breakdowns")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -81,7 +81,7 @@ func main() {
 			if err := os.MkdirAll(*outDir, 0o755); err != nil {
 				return err
 			}
-			path := filepath.Join(*outDir, id+".txt")
+			path := filepath.Join(*outDir, experiments.ResultFile(id))
 			if err := os.WriteFile(path, []byte(rendered), 0o644); err != nil {
 				return err
 			}

@@ -48,6 +48,9 @@ type Context struct {
 	seed      int64
 	phases    map[string]*obs.PhaseBreakdown
 	phaseTot  map[string]time.Duration
+	// profiles shares cold-start profiles across the simulator runs of
+	// the exhibit in progress; Run scopes one cache to each exhibit.
+	profiles *serverless.ProfileCache
 }
 
 // FleetOverrides carries the command-line control-plane knobs into the
@@ -309,6 +312,18 @@ func register(id string, fn Runner) {
 // IDs lists registered experiment ids in registration order.
 func IDs() []string { return append([]string(nil), registryOrder...) }
 
+// resultFiles holds the exhibits whose results/ file is not <id>.txt.
+var resultFiles = map[string]string{"ext-fleet": "ext-fleet-sweep.txt"}
+
+// ResultFile names the results/ file an exhibit's output is saved to:
+// <id>.txt unless the docs cite the exhibit under another name.
+func ResultFile(id string) string {
+	if f, ok := resultFiles[id]; ok {
+		return f
+	}
+	return id + ".txt"
+}
+
 // Run executes one experiment by id.
 func Run(c *Context, id string) (*Report, error) {
 	fn, ok := registry[id]
@@ -317,5 +332,26 @@ func Run(c *Context, id string) (*Report, error) {
 		sort.Strings(known)
 		return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, known)
 	}
+	c.setProfileCache(serverless.NewProfileCache())
+	defer c.setProfileCache(nil)
 	return fn(c)
+}
+
+// setProfileCache installs the profile cache the running exhibit's
+// simulator configs share. The cache lives for one exhibit, not the
+// whole Context: every entry pins its template instance's captured
+// graphs, and holding them for a full -all pass costs far more memory
+// than rebuilding them per exhibit costs time (DESIGN.md §15).
+func (c *Context) setProfileCache(pc *serverless.ProfileCache) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.profiles = pc
+}
+
+// profileCache returns the running exhibit's profile cache (nil outside
+// Run).
+func (c *Context) profileCache() *serverless.ProfileCache {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.profiles
 }

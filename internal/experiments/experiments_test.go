@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -29,6 +31,20 @@ func runExp(t *testing.T, id string) *Report {
 func TestUnknownExperiment(t *testing.T) {
 	if _, err := Run(sharedCtx, "fig99"); err == nil {
 		t.Fatal("unknown id accepted")
+	}
+}
+
+// TestResultFilesCheckedIn pins the id→file mapping that medusa-bench
+// -out and make results-check share: every exhibit's file is checked
+// in under results/, ext-fleet under the name the docs cite.
+func TestResultFilesCheckedIn(t *testing.T) {
+	if f := ResultFile("ext-fleet"); f != "ext-fleet-sweep.txt" {
+		t.Fatalf("ext-fleet saves to %s, want ext-fleet-sweep.txt", f)
+	}
+	for _, id := range IDs() {
+		if _, err := os.Stat(filepath.Join("..", "..", "results", ResultFile(id))); err != nil {
+			t.Errorf("%s: %v", id, err)
+		}
 	}
 }
 

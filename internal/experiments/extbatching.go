@@ -87,6 +87,7 @@ func runExtBatching(c *Context) (*Report, error) {
 					Model: cfg, Strategy: engine.StrategyMedusa,
 					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
 					Seed:      int64(i + 1),
+					Profiles:  c.profileCache(),
 					Scheduler: serverless.Scheduler{Batch: batch},
 				},
 			})

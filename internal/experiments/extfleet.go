@@ -108,7 +108,8 @@ func runExtFleet(c *Context) (*Report, error) {
 				Config: serverless.Config{
 					Model: cfg, Strategy: engine.StrategyMedusa,
 					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
-					Seed: int64(i + 1),
+					Seed:     int64(i + 1),
+					Profiles: c.profileCache(),
 					Scheduler: serverless.Scheduler{
 						// A small per-instance target and a short idle
 						// timeout make the autoscaler the bottleneck:

@@ -110,6 +110,7 @@ func runExtTemplate(c *Context) (*Report, error) {
 					Model: cfg, Strategy: engine.StrategyMedusa,
 					Store: c.Store, Cache: spec,
 					Seed:      int64(i + 1),
+					Profiles:  c.profileCache(),
 					Scheduler: serverless.Scheduler{IdleTimeout: 150 * time.Millisecond},
 				},
 			})

@@ -56,7 +56,8 @@ func runExtFaultSweep(c *Context) (*Report, error) {
 				Config: serverless.Config{
 					Model: cfg, Strategy: engine.StrategyMedusa,
 					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
-					Seed: int64(i + 1),
+					Seed:     int64(i + 1),
+					Profiles: c.profileCache(),
 					// churn: idle instances die between bursts, so each
 					// fault-probability point sees many launches
 					Scheduler: serverless.Scheduler{IdleTimeout: 150 * time.Millisecond},

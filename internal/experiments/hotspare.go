@@ -66,7 +66,8 @@ func runHotSpare(c *Context) (*Report, error) {
 					IdleTimeout:    pol.idle,
 					InstanceTarget: 64,
 				},
-				Seed: c.NextSeed(),
+				Seed:     c.NextSeed(),
+				Profiles: c.profileCache(),
 			}
 			if pol.strategy.NeedsArtifact() {
 				art, size, _, err := c.Artifact(cfg)

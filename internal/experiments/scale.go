@@ -70,6 +70,7 @@ func runExtScale(c *Context) (*Report, error) {
 					Model: cfg, Strategy: engine.StrategyMedusa,
 					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
 					Seed:      int64(i + 1),
+					Profiles:  c.profileCache(),
 					Scheduler: serverless.Scheduler{IdleTimeout: 200 * time.Millisecond},
 				},
 			})

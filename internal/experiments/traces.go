@@ -30,6 +30,7 @@ func (c *Context) simConfig(cfg model.Config, strategy engine.Strategy) (serverl
 		Store:    c.Store,
 		NumGPUs:  4,
 		Seed:     c.NextSeed(),
+		Profiles: c.profileCache(),
 	}
 	if strategy.NeedsArtifact() {
 		art, size, _, err := c.Artifact(cfg)

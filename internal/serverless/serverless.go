@@ -21,7 +21,6 @@ import (
 	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/sched"
 	"github.com/medusa-repro/medusa/internal/storage"
-	"github.com/medusa-repro/medusa/internal/trace"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
 
@@ -286,6 +285,11 @@ type Config struct {
 	Cache CacheSpec
 	// Faults is the fault-injection policy.
 	Faults FaultSpec
+	// Profiles, when set, shares cold-start profiles across every run
+	// configured with it: each distinct profile input is cold-started
+	// once and later runs reuse its measured costs (see ProfileCache).
+	// Nil builds each run's profiles for that run alone.
+	Profiles *ProfileCache
 }
 
 // Validate checks the configuration's invariants as-is, without
@@ -414,169 +418,6 @@ type Result struct {
 	Metrics *obs.Registry
 }
 
-// profile is the timing fingerprint of one (model, strategy) instance,
-// measured once on a real engine instance and shared by every
-// simulated replica.
-type profile struct {
-	coldStart time.Duration
-	// timeline is the template cold start's observable stage layout;
-	// its extent equals coldStart, which is what keeps the per-launch
-	// phase attribution drift-free.
-	timeline *trace.Timeline
-	prefill  func(int) (time.Duration, error)
-	decode   func(int) (time.Duration, error)
-	kvPerTok time.Duration // extra decode time per running sequence (KV reads)
-	maxKVTok int
-
-	// Deferred-capture support (§2.4 strawman): graphBatch maps a
-	// batch to its capture size, ensure lazily captures on the template
-	// instance, capCost memoizes the measured one-time cost.
-	deferred   bool
-	graphBatch func(int) int
-	ensure     func(int) (time.Duration, error)
-	capCost    map[int]time.Duration
-
-	// Hot-path memoization keyed on the simulator's call arguments.
-	// The engine memoizes too, but only after re-deriving graph-batch
-	// quantization and cache keys per call; these caches make the
-	// steady-state per-iteration cost a single map probe. Values are
-	// stable: the engine's one-time lazy loads are absorbed before
-	// first use (cold start or, for deferred capture, the ensure that
-	// startIteration always runs before the first decode of a size).
-	prefillCache map[int]time.Duration
-	stepCache    map[int]time.Duration
-}
-
-// prefillDur memoizes prefill by exact prompt length.
-func (p *profile) prefillDur(tokens int) (time.Duration, error) {
-	if d, ok := p.prefillCache[tokens]; ok {
-		return d, nil
-	}
-	d, err := p.prefill(tokens)
-	if err != nil {
-		return 0, err
-	}
-	if p.prefillCache == nil {
-		p.prefillCache = make(map[int]time.Duration)
-	}
-	p.prefillCache[tokens] = d
-	return d, nil
-}
-
-// buildProfile cold-starts one template instance (or tensor-parallel
-// rank group) and wraps its memoized cost accessors.
-func buildProfile(cfg Config) (*profile, error) {
-	// Per-sequence KV read cost at the assumed context, beyond the
-	// engine's capture-calibrated baseline: ctx · hidden · 2 sides ·
-	// 2 bytes · layers over HBM bandwidth; sharded TP ranks each read
-	// 1/TP of it in parallel.
-	m := cfg.Model
-	bytesPerSeq := float64(cfg.Workload.AvgContextTokens) * float64(m.Hidden) * 2 * 2 * float64(m.Layers) / float64(cfg.TPDegree)
-
-	if cfg.TPDegree > 1 {
-		tp, err := engine.TPColdStart(engine.TPOptions{
-			Model:    cfg.Model,
-			Degree:   cfg.TPDegree,
-			Strategy: cfg.Strategy,
-			Store:    cfg.Store,
-			Seed:     cfg.Seed ^ 0x7a7a,
-		})
-		if err != nil {
-			return nil, err
-		}
-		bw := tp.Ranks[0].Process().Device().Config().MemBandwidth
-		return &profile{
-			coldStart: tp.LoadingDuration,
-			timeline:  tpTimeline(tp),
-			prefill:   tp.PrefillDuration,
-			decode:    tp.DecodeStepDuration,
-			kvPerTok:  time.Duration(bytesPerSeq / bw * float64(time.Second)),
-			maxKVTok:  tp.KVRecord().NumBlocks * 16,
-			// Deferred capture is not modeled for TP instances.
-			graphBatch: tp.Ranks[0].GraphBatch,
-			capCost:    make(map[int]time.Duration),
-		}, nil
-	}
-
-	inst, err := engine.ColdStart(engine.Options{
-		Model:             cfg.Model,
-		Strategy:          cfg.Strategy,
-		Seed:              cfg.Seed ^ 0x7a7a,
-		Store:             cfg.Store,
-		Artifact:          cfg.Cache.Artifact,
-		ArtifactBytes:     cfg.Cache.ArtifactBytes,
-		ArtifactPreloaded: cfg.Cache.ArtifactPreloaded,
-	})
-	if err != nil {
-		return nil, err
-	}
-	kvPerTok := time.Duration(bytesPerSeq / inst.Process().Device().Config().MemBandwidth * float64(time.Second))
-	return &profile{
-		coldStart:  inst.LoadingDuration(),
-		timeline:   inst.Timeline(),
-		prefill:    inst.PrefillDuration,
-		decode:     inst.DecodeStepDuration,
-		kvPerTok:   kvPerTok,
-		maxKVTok:   inst.KVRecord().NumBlocks * 16,
-		deferred:   cfg.Strategy.Info().DeferredCapture,
-		graphBatch: inst.GraphBatch,
-		ensure:     inst.EnsureGraphCaptured,
-		capCost:    make(map[int]time.Duration),
-	}, nil
-}
-
-// tpTimeline synthesizes the observable timeline of a tensor-parallel
-// cold start: the slowest rank's stage layout with the collective
-// bootstrap appended, so the extent equals TPResult.LoadingDuration
-// exactly and phase attribution stays drift-free.
-func tpTimeline(tp *engine.TPResult) *trace.Timeline {
-	slowest := 0
-	for i, d := range tp.RankLoading {
-		if d > tp.RankLoading[slowest] {
-			slowest = i
-		}
-	}
-	tl := &trace.Timeline{}
-	for _, st := range tp.Ranks[slowest].Timeline().Stages() {
-		tl.Record(st.Name, st.Start, st.End)
-	}
-	base := tp.RankLoading[slowest]
-	tl.Record("tp_sync_setup", base, base+tp.SyncSetup)
-	return tl
-}
-
-// captureCost returns the one-time lazy-capture cost an instance pays
-// the first time it serves a batch covered by graph size gb.
-func (p *profile) captureCost(n int) (int, time.Duration, error) {
-	gb := p.graphBatch(n)
-	if d, ok := p.capCost[gb]; ok {
-		return gb, d, nil
-	}
-	d, err := p.ensure(gb)
-	if err != nil {
-		return 0, 0, err
-	}
-	p.capCost[gb] = d
-	return gb, d, nil
-}
-
-// decodeStep is one continuous-batching iteration for n sequences.
-func (p *profile) decodeStep(n int) (time.Duration, error) {
-	if d, ok := p.stepCache[n]; ok {
-		return d, nil
-	}
-	base, err := p.decode(n)
-	if err != nil {
-		return 0, err
-	}
-	d := base + time.Duration(n)*p.kvPerTok
-	if p.stepCache == nil {
-		p.stepCache = make(map[int]time.Duration)
-	}
-	p.stepCache[n] = d
-	return d, nil
-}
-
 // Deployment is one model's slice of a shared cluster.
 type Deployment struct {
 	// Name labels the deployment in results.
@@ -668,7 +509,7 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("deployment %d (%s): %w", di, dep.Name, err)
 		}
-		prof, err := buildProfile(dcfg)
+		prof, err := newProfile(dcfg)
 		if err != nil {
 			return nil, fmt.Errorf("serverless: profiling %s: %w", dep.Name, err)
 		}
@@ -687,7 +528,7 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 			fcfg := dcfg
 			fcfg.Strategy = engine.StrategyVLLM
 			fcfg.Cache = CacheSpec{}
-			fallback, err = buildProfile(fcfg)
+			fallback, err = newProfile(fcfg)
 			if err != nil {
 				return nil, fmt.Errorf("serverless: profiling %s fallback: %w", dep.Name, err)
 			}
