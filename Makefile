@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint docs linkcheck test test-race short bench bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
+.PHONY: all check build vet lint docs linkcheck test test-race short bench perfbench-test bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
 
 all: build test
 
@@ -62,6 +62,11 @@ short:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Vet and test the benchmark's own module. perfbench/ compiles against
+# the simulator APIs but is a separate module, so ./... above skips it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Seconds-scale benchmark gate for CI: the seeded eviction-policy sweep
 # (lru/lfu/costaware on one 2-node Zipf workload), a two-node fleet

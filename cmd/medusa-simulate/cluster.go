@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 
 	"github.com/medusa-repro/medusa/internal/cliconfig"
 	"github.com/medusa-repro/medusa/internal/cluster"
@@ -169,18 +168,7 @@ func runCluster(v *cliconfig.Values, baseTC workload.TraceConfig, tracePath stri
 	fmt.Print(res.Render())
 
 	if tracer != nil {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return err
-		}
-		if err := tracer.WriteChrome(f); err != nil {
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("\nChrome trace written to %s (%d spans, %d tracks) — load at ui.perfetto.dev\n",
-			tracePath, tracer.Len(), len(tracer.Tracks()))
+		return writeTrace(tracer, tracePath)
 	}
 	return nil
 }

@@ -220,18 +220,9 @@ func main() {
 	fmt.Print(res.TTFT.Histogram(100*time.Millisecond, 50))
 
 	if tracer != nil {
-		f, err := os.Create(*tracePath)
-		if err != nil {
+		if err := writeTrace(tracer, *tracePath); err != nil {
 			fail(err)
 		}
-		if err := tracer.WriteChrome(f); err != nil {
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Printf("\nChrome trace written to %s (%d spans, %d tracks) — load at ui.perfetto.dev\n",
-			*tracePath, tracer.Len(), len(tracer.Tracks()))
 	}
 
 	if *phases {
@@ -255,4 +246,22 @@ func main() {
 			}
 		}
 	}
+}
+
+// writeTrace writes the run's spans as Chrome trace-event JSON.
+func writeTrace(tracer *obs.Tracer, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tracer.WriteChrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Printf("\nChrome trace written to %s (%d spans, %d tracks) — load at ui.perfetto.dev\n",
+		path, tracer.Len(), len(tracer.Tracks()))
+	return nil
 }

@@ -289,6 +289,10 @@ func NewNodeCache(name string, params Params, remote *Registry) *NodeCache {
 // Name returns the node cache's label.
 func (c *NodeCache) Name() string { return c.name }
 
+// RoundTrip is the registry link's request latency: what a request
+// answered without a payload (a 404) costs.
+func (c *NodeCache) RoundTrip() time.Duration { return c.remote.net.Latency }
+
 // SetObs attaches observability: fetch spans land on the
 // "storage/cache/<name>" track of the tracer, and per-tier hit / miss /
 // eviction counters increment in the registry (prefix "cache_").

@@ -1,7 +1,7 @@
-// Package cluster extends the serverless simulator to a multi-node
-// fleet with a tiered artifact cache. The single-pool simulator answers
-// "how bad are cold starts"; this package answers the question the
-// fleet operator actually faces: WHERE to place a cold-starting
+// Package cluster runs the serverless simulator's event loop on a
+// multi-node fleet with a tiered artifact cache. The single pool
+// answers "how bad are cold starts"; this package answers the question
+// the fleet operator actually faces: WHERE to place a cold-starting
 // instance so the (model, strategy) artifact it needs is already
 // nearby. Each node fronts the shared artifact registry with a
 // two-tier local cache (host page cache, node-local SSD — see
@@ -22,9 +22,6 @@ import (
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
 	"github.com/medusa-repro/medusa/internal/autoscale"
-	"github.com/medusa-repro/medusa/internal/engine"
-	"github.com/medusa-repro/medusa/internal/faults"
-	"github.com/medusa-repro/medusa/internal/kvcache"
 	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/router"
@@ -156,50 +153,20 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// artifactCacheKey names a deployment's artifact in the registry and
-// node caches — keyed by (model, strategy) so distinct artifact-based
-// strategies of one model cache independently.
-func artifactCacheKey(modelName string, strategy engine.Strategy) string {
-	return engine.ArtifactKey(modelName) + "@" + strategy.String()
-}
-
-// DeploymentResult is one deployment's slice of the fleet outcome.
+// DeploymentResult is one deployment's slice of the fleet outcome: the
+// single-pool statistics (latency samples, completions, cold starts and
+// their phase attribution, the metrics registry) plus what only a fleet
+// measures.
 type DeploymentResult struct {
 	// Name labels the deployment.
 	Name string
-	// TTFT / E2E are the request latency samples ("ttft"/"e2e" in
-	// Metrics).
-	TTFT *metrics.Sample
-	// E2E is end-to-end request latency.
-	E2E *metrics.Sample
-	// TPOT is time-per-output-token — per completed request, the mean
-	// inter-token gap. Recorded only in batched execution mode
-	// (Scheduler.Batch enabled); nil otherwise.
-	TPOT *metrics.Sample
-	// Preemptions counts scheduler evictions under KV pressure
-	// (batched execution mode only).
-	Preemptions int
+	*serverless.Result
 	// ColdStart samples each launch's end-to-end provisioning latency
 	// (runtime init + artifact fetch + loading, overlap-aware).
 	ColdStart *metrics.Sample
-	// Completed counts finished requests.
-	Completed int
-	// ColdStarts counts instance launches.
-	ColdStarts int
-	// Degraded counts launches that fell back to the vanilla cold-start
-	// stages after an injected fault (0 without a fault plan).
-	Degraded int
-	// ColdStartPhases attributes every launch exclusively across
-	// runtime init, artifact fetch and the strategy's loading stages;
-	// its Total equals ColdStartTotal exactly.
-	ColdStartPhases *obs.PhaseBreakdown
-	// ColdStartTotal sums all launches' end-to-end durations.
-	ColdStartTotal time.Duration
 	// SLOMet counts completed requests that met every configured
 	// deadline (0 when Config.SLO is zero).
 	SLOMet int
-	// Metrics is the deployment's counter/gauge/sample registry.
-	Metrics *obs.Registry
 }
 
 // NodeResult is one node's share of the fleet outcome.
@@ -262,186 +229,100 @@ func (r *Result) SLOAttainment() float64 {
 	return float64(r.SLOMet) / float64(r.Completed)
 }
 
-// Run simulates the fleet.
+// Run simulates the fleet: it builds one node per Config.Nodes, each
+// fronting the shared artifact registry with its tiered cache, and runs
+// the deployments on them through the serverless event loop.
 func Run(cfg Config) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-
 	registry := artifactcache.NewRegistry(cfg.Network)
-	clusterReg := obs.NewRegistry()
-	sim := &simulation{cfg: cfg, reg: clusterReg, scaler: cfg.Autoscaler, router: cfg.Router, slo: cfg.SLO}
-	if sim.scaler == nil {
-		sim.scaler = autoscale.NewReactive()
-	}
-	if cfg.Faults.Plan != nil {
-		inj, err := faults.NewInjector(*cfg.Faults.Plan)
-		if err != nil {
-			return nil, err
-		}
-		sim.inj = inj // nil for a zero plan: the fault paths vanish
-	}
-	for i := 0; i < cfg.Nodes; i++ {
+	reg := obs.NewRegistry()
+	nodes := make([]serverless.Node, cfg.Nodes)
+	for i := range nodes {
 		cache := artifactcache.NewNodeCache(fmt.Sprintf("node%d", i), cfg.Cache, registry)
-		cache.SetObs(cfg.Tracer, clusterReg)
-		cache.SetFaults(sim.inj)
-		sim.nodes = append(sim.nodes, &nodeState{id: i, warmLeft: -1, cache: cache})
-		if cfg.WarmContainersPerNode > 0 {
-			sim.nodes[i].warmLeft = cfg.WarmContainersPerNode
-		}
+		cache.SetObs(cfg.Tracer, reg)
+		nodes[i] = serverless.Node{GPUs: cfg.GPUsPerNode, WarmContainers: cfg.WarmContainersPerNode, Cache: cache}
 	}
-
-	streaming := cfg.Arrivals != nil
-	if !streaming {
-		for _, dep := range cfg.Deployments {
-			if dep.Source != nil {
-				streaming = true
-				break
-			}
-		}
-	}
-
+	deps := make([]serverless.Deployment, len(cfg.Deployments))
 	for di, dep := range cfg.Deployments {
-		if !streaming && len(dep.Requests) == 0 {
-			return nil, fmt.Errorf("cluster: deployment %d (%s) has an empty trace", di, dep.Name)
+		if dep.Name == "" {
+			dep.Name = fmt.Sprintf("deployment-%d", di)
 		}
-		dcfg := dep.Config
-		dcfg.NumGPUs = cfg.GPUsPerNode
-		// The cluster charges each launch's artifact fetch explicitly
-		// through the node cache (tier- and dedup-dependent), so the
-		// template profile must not also bake the storage read into the
-		// restore stage. Tensor-parallel instances materialize per-rank
-		// artifacts inside the engine and bypass the cache.
+		dcfg := &dep.Config
+		dcfg.RetainPerRequest = cfg.RetainPerRequest
+		// The node caches charge each launch's artifact fetch explicitly
+		// (tier- and dedup-dependent), so the profile must not also bake
+		// the storage read into the restore stage. Tensor-parallel
+		// instances materialize per-rank artifacts inside the engine and
+		// bypass the cache.
 		fetches := dcfg.Strategy.NeedsArtifact() && dcfg.TPDegree <= 1
 		dcfg.Cache.ArtifactPreloaded = fetches
-		prof, err := serverless.NewProfile(dcfg)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: profiling %s: %w", dep.Name, err)
-		}
-		dcfg = prof.Config()
-		key, tmplKey := "", ""
 		if fetches {
-			key = artifactCacheKey(dcfg.Model.Name, dcfg.Strategy)
 			size, err := dcfg.Cache.ColdFetchBytes()
 			if err != nil {
 				return nil, fmt.Errorf("cluster: encoding %s artifact: %w", dep.Name, err)
 			}
-			registry.RegisterSized(key, size)
+			registry.RegisterSized(dcfg.ArtifactCacheKey(), size)
 			if tmpl := dcfg.Cache.Template; tmpl != nil {
 				// The shared template registers once under its own ID
 				// (unsuffixed — every strategy and sibling model resolves
 				// the same object); re-registration by later deployments
 				// is idempotent.
-				tmplKey = tmpl.ID()
-				registry.RegisterSized(tmplKey, dcfg.Cache.EncodedTemplateBytes())
+				registry.RegisterSized(tmpl.ID(), dcfg.Cache.EncodedTemplateBytes())
 			}
 		}
-		name := dep.Name
-		if name == "" {
-			name = fmt.Sprintf("deployment-%d", di)
-		}
-		// Under a nonzero fault plan, every artifact-based deployment gets
-		// a vanilla fallback profile so a failed or untrusted restore can
-		// degrade instead of aborting (§4's fallback path). The fallback
-		// reads weights from the model store, not the artifact registry.
-		var fallback *serverless.Profile
-		if sim.inj != nil && dcfg.Strategy.NeedsArtifact() {
-			fcfg := dcfg
-			fcfg.Strategy = engine.StrategyVLLM
-			fcfg.Cache = serverless.CacheSpec{}
-			fallback, err = serverless.NewProfile(fcfg)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: profiling %s fallback: %w", dep.Name, err)
-			}
-		}
-		// Resolve the batched-execution parameters against the measured
-		// profile: an unset KV pool inherits the instance's measured KV
-		// capacity, so legacy and batched admission see the same memory.
-		batch := dcfg.Scheduler.Batch
-		if batch.Enabled() && batch.KVBlocks == 0 {
-			batch.KVBlocks = prof.MaxKVTokens() / kvcache.TokensPerBlock
-		}
-		d := &depState{
-			cfg:      dcfg,
-			prof:     prof,
-			name:     name,
-			key:      key,
-			tmplKey:  tmplKey,
-			fallback: fallback,
-			batched:  batch.Enabled(),
-			batch:    batch,
-			reg:      obs.NewRegistry(),
-			phases:   obs.NewPhaseBreakdown(),
-			rng:      rand.New(rand.NewSource(cfg.Seed ^ dcfg.Seed ^ 0x5eed ^ int64(di))),
-		}
-		// The predictive autoscaler scales ahead by the launch lead time:
-		// the profile's measured cold start (placement may shave the
-		// fetch, but the loading stages dominate).
-		d.provLatency = prof.ColdStart()
-		if cfg.RetainPerRequest {
-			d.reg.RetainSamples()
-		}
-		d.bindInstruments()
-		if !cfg.SLO.Zero() {
-			// Registered only under an SLO so legacy registries render the
-			// historical instrument set byte-for-byte.
-			d.cSLOMet = d.reg.Counter("slo_met")
-		}
-		if !streaming {
-			d.seenArr = true
-			d.firstArr = dep.Requests[0].Arrival
-		}
-		sim.deps = append(sim.deps, d)
+		deps[di] = dep
 	}
-
-	if streaming {
-		// Streaming traffic: request IDs are assigned in delivery order.
-		sim.renumber = true
-		if cfg.Arrivals != nil {
-			sim.src = cfg.Arrivals
-		} else {
-			perDep := make([]workload.Source, len(cfg.Deployments))
-			for di, dep := range cfg.Deployments {
-				if dep.Source != nil {
-					perDep[di] = dep.Source
-				} else {
-					perDep[di] = workload.NewSlice(dep.Requests)
-				}
-			}
-			sim.src = serverless.MergeArrivals(perDep)
-		}
-	} else {
-		// Slice traffic keeps the historical ID scheme: global IDs in
-		// deployment-concatenation order, follow-ups numbered after all
-		// initial requests.
-		nextID := 0
-		perDep := make([]workload.Source, len(cfg.Deployments))
-		for di, dep := range cfg.Deployments {
-			reqs := make([]workload.Request, len(dep.Requests))
-			copy(reqs, dep.Requests)
-			for i := range reqs {
-				reqs[i].ID = nextID
-				nextID++
-			}
-			perDep[di] = workload.NewSlice(reqs)
-		}
-		sim.src = serverless.MergeArrivals(perDep)
-		sim.nextID = nextID
-	}
-
 	if cfg.PrewarmSSD {
 		// Sorted keys: Preload order must not depend on map iteration.
 		keys := registry.Names()
-		for _, n := range sim.nodes {
+		for _, n := range nodes {
 			for _, k := range keys {
-				if err := n.cache.Preload(k); err != nil {
+				if err := n.Cache.Preload(k); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
-	return sim.run()
+	res, err := serverless.RunFleet(serverless.Fleet{
+		Nodes:          nodes,
+		Deployments:    deps,
+		Arrivals:       cfg.Arrivals,
+		Faults:         cfg.Faults,
+		Autoscaler:     cfg.Autoscaler,
+		Router:         cfg.Router,
+		SLO:            cfg.SLO,
+		LocalityWeight: cfg.LocalityWeight,
+		Seed:           cfg.Seed,
+		Metrics:        reg,
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	out := &Result{Config: cfg, Metrics: reg, Makespan: res.Makespan,
+		GPUSeconds: res.GPUSeconds, TotalColdStarts: res.TotalColdStarts}
+	for di, r := range res.PerDeployment {
+		dr := &DeploymentResult{Name: deps[di].Name, Result: r, ColdStart: r.Metrics.Sample("cold_start")}
+		if !cfg.SLO.Zero() {
+			dr.SLOMet = int(r.Metrics.Counter("slo_met").Value())
+		}
+		out.PerDeployment = append(out.PerDeployment, dr)
+		out.Completed += dr.Completed
+		out.Degraded += dr.Degraded
+		out.SLOMet += dr.SLOMet
+	}
+	out.Requeued = int(reg.Counter("requeued").Value())
+	out.NodeCrashes = int(reg.Counter("node_crashes").Value())
+	for i, n := range res.Nodes {
+		st := nodes[i].Cache.Stats()
+		out.PerNode = append(out.PerNode, NodeResult{ID: i, Launches: n.Launches, Crashed: n.Crashed, Cache: st})
+		out.Cache.Add(st)
+		out.NodeSeconds += n.Up.Seconds()
+	}
+	return out, nil
 }
 
 // RunPolicySweep runs the same workload once per eviction policy,

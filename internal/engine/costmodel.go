@@ -6,6 +6,12 @@ import (
 	"github.com/medusa-repro/medusa/internal/model"
 )
 
+// RuntimeInitDuration is the container + Python + framework import
+// phase that precedes loading in a cold start. Warm container pools
+// eliminate it, so the simulators charge it only to launches that miss
+// the pool.
+const RuntimeInitDuration = 830 * time.Millisecond
+
 // Calibrated cost-model constants. Anchors come from the paper's
 // Figure 8(a) breakdown of Qwen1.5-4B on an A100-40GB (struct init
 // 0.85 s, weights 0.39 s, tokenizer 0.21 s, KV init 0.50 s, capture
@@ -26,10 +32,6 @@ const (
 	// dominates both vanilla capture post-processing and Medusa's
 	// restore stage.
 	instantiateNodeCost = 32 * time.Microsecond
-
-	// runtimeInitDuration is the container + Python + framework import
-	// phase, eliminated by warm pools in the trace experiments.
-	runtimeInitDuration = 830 * time.Millisecond
 
 	// structInit* model per-layer module construction and tensor buffer
 	// allocation (Python-side): 0.01 + 0.02·layers + 0.0055·GB seconds.

@@ -647,8 +647,8 @@ func (inst *Instance) compose(dStruct, dWeights, dTok, dKV, dCapture time.Durati
 	tl := inst.timeline
 	t := time.Duration(0)
 	if inst.opts.IncludeRuntimeInit {
-		tl.Record(StageRuntimeInit, 0, runtimeInitDuration)
-		t = runtimeInitDuration
+		tl.Record(StageRuntimeInit, 0, RuntimeInitDuration)
+		t = RuntimeInitDuration
 	}
 	if inst.opts.Strategy != StrategyCheckpoint {
 		// Checkpoint restore replaces every loading stage, including

@@ -336,10 +336,10 @@ func TestRuntimeInitPhase(t *testing.T) {
 	with := mustColdStart(t, Options{
 		Model: cfg, Strategy: StrategyVLLM, Seed: 95, CaptureSizes: tinySizes, IncludeRuntimeInit: true,
 	})
-	if with.Timeline().StageDuration(StageRuntimeInit) != runtimeInitDuration {
+	if with.Timeline().StageDuration(StageRuntimeInit) != RuntimeInitDuration {
 		t.Fatal("runtime init stage missing or wrong")
 	}
-	if with.ColdStartDuration()-with.LoadingDuration() != runtimeInitDuration {
+	if with.ColdStartDuration()-with.LoadingDuration() != RuntimeInitDuration {
 		t.Fatal("LoadingDuration does not exclude runtime init")
 	}
 }

@@ -313,55 +313,6 @@ func LoadArtifact(src ArtifactSource, clock *vclock.Clock, modelName string) (*m
 	return art, uint64(len(raw)), nil
 }
 
-// LoadArtifactResolved fetches and decodes a model's artifact like
-// LoadArtifact, additionally resolving v3 (template+delta) containers
-// through resolve. The returned size covers only the artifact object's
-// own bytes — for a v3 container, the delta; the template's transfer is
-// charged by whoever resolved it (StoreResolver charges it once per
-// store). Self-contained v1/v2 artifacts never invoke the resolver.
-func LoadArtifactResolved(src ArtifactSource, clock *vclock.Clock, modelName string, resolve medusa.TemplateResolver) (*medusa.Artifact, uint64, error) {
-	raw, err := src.Get(clock, ArtifactKey(modelName))
-	if err != nil {
-		return nil, 0, err
-	}
-	art, err := medusa.DecodeResolved(raw, resolve)
-	if err != nil {
-		return nil, 0, err
-	}
-	return art, uint64(len(raw)), nil
-}
-
-// StoreResolver adapts a storage.Store into a medusa.TemplateResolver:
-// template IDs are store object names, fetched through Store.GetOnce so
-// the template read is charged once per store however many sibling
-// artifacts resolve against it (the single-process analogue of the
-// cluster cache's template sharing). Decode failures and unknown IDs
-// resolve to not-found — DecodeResolved then surfaces its typed
-// missing-template error and callers degrade to a vanilla cold start.
-func StoreResolver(store *storage.Store, clock *vclock.Clock) medusa.TemplateResolver {
-	cache := make(map[string]*medusa.Template)
-	var mu sync.Mutex
-	return func(id string) (*medusa.Template, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if t, ok := cache[id]; ok {
-			return t, t != nil
-		}
-		raw, err := store.GetOnce(clock, id)
-		if err != nil || raw == nil {
-			cache[id] = nil
-			return nil, false
-		}
-		t, err := medusa.DecodeTemplate(raw)
-		if err != nil {
-			cache[id] = nil
-			return nil, false
-		}
-		cache[id] = t
-		return t, true
-	}
-}
-
 // BuildFleetTemplates factors a fleet's artifacts into shared
 // per-architecture templates: one template per model family present,
 // derived from the family's reference artifact (the lexicographically

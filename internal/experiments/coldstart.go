@@ -225,8 +225,8 @@ func runFigure7(c *Context) (*Report, error) {
 			return nil, err
 		}
 		lv, la, lm := vllm.LoadingDuration(), async.LoadingDuration(), med.LoadingDuration()
-		coldV := runtimeInitApprox + lv
-		coldM := runtimeInitApprox + lm
+		coldV := engine.RuntimeInitDuration + lv
+		coldM := engine.RuntimeInitDuration + lm
 		loadCut := metrics.Reduction(lv, lm)
 		coldCut := metrics.Reduction(coldV, coldM)
 		loadCutSum += loadCut
@@ -247,10 +247,6 @@ func runFigure7(c *Context) (*Report, error) {
 	r.SetMetric("avg_coldstart_reduction_pct", coldCutSum/n*100)
 	return r, nil
 }
-
-// runtimeInitApprox mirrors the engine's runtime-init phase for the
-// cold-start composition of Figure 7b.
-const runtimeInitApprox = 830 * time.Millisecond
 
 // runFigure8 reproduces Figure 8: the stage-level breakdown of the
 // three strategies on Qwen1.5-4B.

@@ -1,6 +1,8 @@
 package serverless
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -125,5 +127,42 @@ func TestRunFaultsDeterministic(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("fault-injected runs diverge:\n--- run1\n%s\n--- run2\n%s", a, b)
+	}
+}
+
+// TestRunMultiIgnoresClusterOnlyFaults pins the FaultSpec contract: the
+// single pool has no nodes and no artifact registry, so node crashes
+// and registry timeouts in a plan change nothing about its run.
+func TestRunMultiIgnoresClusterOnlyFaults(t *testing.T) {
+	base := faults.Plan{
+		Seed:            3,
+		ArtifactCorrupt: faults.SiteSpec{Probability: 0.3},
+		SSDRead:         faults.SiteSpec{Probability: 0.3},
+		RestoreMismatch: faults.SiteSpec{Probability: 0.2},
+	}
+	withCluster := base
+	withCluster.NodeCrashes = []faults.NodeCrash{{Node: 0, At: faults.Duration(5 * time.Second)}}
+	withCluster.RegistryTimeout = faults.SiteSpec{Probability: 0.5}
+	render := func(plan faults.Plan) string {
+		cfg := faultyMedusa(t, nil)
+		res, err := RunMulti(MultiConfig{
+			NumGPUs:     2,
+			Deployments: []Deployment{{Name: "medusa", Config: cfg, Requests: churnReqs(6)}},
+			Faults:      FaultSpec{Plan: &plan},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := res.PerDeployment[0]
+		return fmt.Sprintf("%scompleted %d cold_starts %d degraded %d ttft p99 %v gpu_seconds %.6f makespan %v\n",
+			d.Metrics.Render(), d.Completed, d.ColdStarts, d.Degraded, d.TTFT.P99(),
+			res.GPUSeconds, res.Makespan)
+	}
+	want, got := render(base), render(withCluster)
+	if got != want {
+		t.Fatalf("cluster-only faults changed the pool run:\n--- base plan\n%s--- with crashes and timeouts\n%s", want, got)
+	}
+	if !strings.Contains(want, "degraded") {
+		t.Fatalf("the base plan degraded nothing, so the comparison is vacuous:\n%s", want)
 	}
 }

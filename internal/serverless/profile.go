@@ -11,15 +11,12 @@ import (
 	"github.com/medusa-repro/medusa/internal/trace"
 )
 
-// Profile is the exported form of the timing fingerprint one
-// (model, strategy) template instance yields: the cold-start duration
-// and stage layout plus the per-iteration serving costs every simulated
-// replica shares. The multi-node cluster simulator builds on it so its
-// per-node event loops price launches and iterations exactly like the
-// single-pool simulator does.
+// Profile is the timing fingerprint one (model, strategy) template
+// instance yields: the cold-start duration and stage layout plus the
+// per-iteration serving costs every simulated replica shares. The event
+// loop builds its own per run; NewProfile exposes the build on its own.
 type Profile struct {
-	cfg Config
-	p   *profile
+	p *profile
 }
 
 // NewProfile validates the configuration, fills defaults, cold-starts
@@ -35,40 +32,8 @@ func NewProfile(cfg Config) (*Profile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Profile{cfg: cfg, p: p}, nil
+	return &Profile{p: p}, nil
 }
-
-// Config returns the normalized (defaults-applied) configuration the
-// profile was built from.
-func (pr *Profile) Config() Config { return pr.cfg }
-
-// ColdStart is the loading-phase latency of one launch (runtime init
-// excluded; the simulators charge that separately per launch).
-func (pr *Profile) ColdStart() time.Duration { return pr.p.coldStart }
-
-// Timeline is the template cold start's observable stage layout; its
-// extent equals ColdStart, which keeps per-launch phase attribution
-// drift-free.
-func (pr *Profile) Timeline() *trace.Timeline { return pr.p.timeline }
-
-// Prefill prices prefilling a prompt of the given token count.
-func (pr *Profile) Prefill(tokens int) (time.Duration, error) { return pr.p.prefillDur(tokens) }
-
-// DecodeStep prices one continuous-batching iteration for n running
-// sequences, including per-sequence KV reads at the assumed context.
-func (pr *Profile) DecodeStep(n int) (time.Duration, error) { return pr.p.decodeStep(n) }
-
-// MaxKVTokens is the instance's KV-cache capacity in tokens.
-func (pr *Profile) MaxKVTokens() int { return pr.p.maxKVTok }
-
-// Deferred reports the §2.4 lazy-capture strawman: graphs are captured
-// on the serving path, one batch size at a time.
-func (pr *Profile) Deferred() bool { return pr.p.deferred }
-
-// CaptureCost returns the covering graph size for a batch and the
-// one-time lazy-capture cost an instance pays the first time it serves
-// a batch of that size (deferred-capture strategy only).
-func (pr *Profile) CaptureCost(n int) (int, time.Duration, error) { return pr.p.captureCost(n) }
 
 // ProfileCache shares profiles across simulator runs. A profile depends
 // only on the model, strategy, TP degree, store, artifact and assumed

@@ -33,13 +33,13 @@ func profileFingerprint(t *testing.T, cfg Config, reverse bool) fingerprint {
 		t.Fatal(err)
 	}
 	fp := fingerprint{
-		ColdStart: pr.ColdStart(),
+		ColdStart: pr.p.coldStart,
 		KVPerTok:  pr.p.kvPerTok,
-		MaxKVTok:  pr.MaxKVTokens(),
+		MaxKVTok:  pr.p.maxKVTok,
 		Prefill:   map[int]time.Duration{},
 		Decode:    map[int]time.Duration{},
 	}
-	for _, st := range pr.Timeline().Stages() {
+	for _, st := range pr.p.timeline.Stages() {
 		fp.Stages = append(fp.Stages, fmt.Sprintf("%s %v-%v", st.Name, st.Start, st.End))
 	}
 	lengths := []int{1, 17, 64, 300, 1024}
@@ -55,12 +55,12 @@ func profileFingerprint(t *testing.T, cfg Config, reverse bool) fingerprint {
 		}
 	}
 	for _, n := range lengths {
-		if fp.Prefill[n], err = pr.Prefill(n); err != nil {
+		if fp.Prefill[n], err = pr.p.prefillDur(n); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, n := range sizes {
-		if fp.Decode[n], err = pr.DecodeStep(n); err != nil {
+		if fp.Decode[n], err = pr.p.decodeStep(n); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func TestProfileCacheConcurrentBuildsOnce(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := pr.DecodeStep(i + 1); err != nil {
+			if _, err := pr.p.decodeStep(i + 1); err != nil {
 				t.Error(err)
 			}
 			entries[i] = pr.p.profileEntry

@@ -5,16 +5,19 @@
 // instance serves with iteration-level continuous batching. The
 // discrete-event simulation reproduces the queueing dynamics behind
 // Figures 10 and 11: cold starts inflate time-to-first-token tails.
+//
+// Its event loop is the only one in the repository. RunMulti runs the
+// paper's GPU pool as a one-node fleet without an artifact cache;
+// RunFleet takes any set of nodes, which is how internal/cluster
+// simulates multi-node fleets with tiered artifact caches.
 package serverless
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/faults"
-	"github.com/medusa-repro/medusa/internal/kvcache"
 	"github.com/medusa-repro/medusa/internal/medusa"
 	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
@@ -137,8 +140,8 @@ type CacheSpec struct {
 	// cache transfers charge); zero means "encode to measure".
 	ArtifactBytes uint64
 	// ArtifactPreloaded marks the encoded artifact as already in host
-	// memory when loading begins. The cluster simulator sets it: its
-	// tiered cache charges the artifact fetch explicitly per launch
+	// memory when loading begins. The cluster front end sets it: its
+	// node caches charge the artifact fetch explicitly per launch
 	// (tier- and dedup-dependent), so the template profile must not
 	// also charge the storage read inside the restore stage.
 	ArtifactPreloaded bool
@@ -227,9 +230,10 @@ type FaultSpec struct {
 	// into artifact-based launches: SSD read errors (retried with
 	// backoff, then degrade), artifact corruption and restore-validation
 	// mismatches (degrade to the vanilla cold-start stages). The
-	// single-pool simulator has no registry or nodes, so RegistryTimeout
-	// and NodeCrashes entries are ignored here; the cluster simulator
-	// exercises them. Nil or a zero plan changes nothing.
+	// single pool has no registry or nodes, so RunMulti ignores
+	// RegistryTimeout, TemplateMissing and NodeCrashes entries; the
+	// cluster simulator exercises them. Nil or a zero plan changes
+	// nothing.
 	Plan *faults.Plan
 }
 
@@ -468,142 +472,33 @@ type MultiResult struct {
 	GPUSeconds float64
 	// Makespan spans simulation start to the last completion.
 	Makespan time.Duration
+	// Nodes reports each node's placement and uptime, in node order (one
+	// entry for the single pool).
+	Nodes []NodeUsage
 }
 
-// RunMulti simulates several deployments contending for one GPU pool.
+// RunMulti simulates several deployments contending for one GPU pool:
+// a fleet of one cacheless node with the pool's GPUs and warm
+// containers, reactive autoscaling, launch-order dispatch and no SLO.
+// The pool has no nodes to crash and no artifact registry, so the fault
+// plan's node crashes are dropped here, and its registry and template
+// sites never draw.
 func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 	if cfg.NumGPUs == 0 {
 		cfg.NumGPUs = 4
 	}
-	if len(cfg.Deployments) == 0 {
-		return nil, fmt.Errorf("serverless: no deployments")
+	faultSpec := cfg.Faults
+	if p := faultSpec.Plan; p != nil && len(p.NodeCrashes) > 0 {
+		plan := *p
+		plan.NodeCrashes = nil
+		faultSpec.Plan = &plan
 	}
-	sim := &simulation{numGPUs: cfg.NumGPUs, warmLeft: -1}
-	if cfg.WarmContainers > 0 {
-		sim.warmLeft = cfg.WarmContainers
-	}
-	if cfg.Faults.Plan != nil {
-		inj, err := faults.NewInjector(*cfg.Faults.Plan)
-		if err != nil {
-			return nil, err
-		}
-		sim.inj = inj // nil for a zero plan: the fault paths vanish
-	}
-	// Streaming mode — a pre-merged stream or any per-deployment Source
-	// — assigns request IDs in delivery order; the slice-based path
-	// pre-assigns concatenation-order IDs below (the historical
-	// numbering, which tracer span names embed).
-	streaming := cfg.Arrivals != nil
-	for _, dep := range cfg.Deployments {
-		if dep.Source != nil {
-			streaming = true
-		}
-	}
-	for di, dep := range cfg.Deployments {
-		if !streaming && len(dep.Requests) == 0 {
-			return nil, fmt.Errorf("serverless: deployment %d (%s) has an empty trace", di, dep.Name)
-		}
-		dcfg := dep.Config
-		dcfg.NumGPUs = cfg.NumGPUs
-		dcfg, err := dcfg.withDefaults()
-		if err != nil {
-			return nil, fmt.Errorf("deployment %d (%s): %w", di, dep.Name, err)
-		}
-		prof, err := newProfile(dcfg)
-		if err != nil {
-			return nil, fmt.Errorf("serverless: profiling %s: %w", dep.Name, err)
-		}
-		name := dep.Name
-		if name == "" {
-			name = fmt.Sprintf("deployment-%d", di)
-		}
-		// Under a nonzero fault plan, artifact-based deployments get a
-		// vanilla fallback profile so a failed or untrusted restore
-		// degrades instead of aborting (§4's fallback path). The artifact
-		// read duration stands in for one failed read attempt's cost.
-		var fallback *profile
-		var artRead time.Duration
-		fkey := ""
-		if sim.inj != nil && dcfg.Strategy.NeedsArtifact() && dcfg.TPDegree <= 1 {
-			fcfg := dcfg
-			fcfg.Strategy = engine.StrategyVLLM
-			fcfg.Cache = CacheSpec{}
-			fallback, err = newProfile(fcfg)
-			if err != nil {
-				return nil, fmt.Errorf("serverless: profiling %s fallback: %w", dep.Name, err)
-			}
-			size, err := dcfg.Cache.ColdFetchBytes()
-			if err != nil {
-				return nil, fmt.Errorf("serverless: encoding %s artifact: %w", dep.Name, err)
-			}
-			artRead = dcfg.Store.Array().ReadDuration(size)
-			fkey = dcfg.Model.Name + "@" + dcfg.Strategy.String()
-		}
-		// Resolve the batched-execution parameters against the measured
-		// profile: an unset KV pool inherits the instance's measured KV
-		// capacity, so legacy and batched admission see the same memory.
-		batch := dcfg.Scheduler.Batch
-		if batch.Enabled() && batch.KVBlocks == 0 {
-			batch.KVBlocks = prof.maxKVTok / kvcache.TokensPerBlock
-		}
-		d := &depState{
-			cfg:      dcfg,
-			prof:     prof,
-			fallback: fallback,
-			fkey:     fkey,
-			artRead:  artRead,
-			name:     name,
-			batched:  batch.Enabled(),
-			batch:    batch,
-			reg:      obs.NewRegistry(),
-			phases:   obs.NewPhaseBreakdown(),
-			rng:      rand.New(rand.NewSource(dcfg.Seed ^ 0x5eed ^ int64(di))),
-		}
-		if dcfg.RetainPerRequest {
-			d.reg.RetainSamples()
-		}
-		d.bindInstruments()
-		if !streaming {
-			d.seenArr = true
-			d.firstArr = dep.Requests[0].Arrival
-		}
-		sim.deps = append(sim.deps, d)
-	}
-	if streaming {
-		sim.renumber = true
-		if cfg.Arrivals != nil {
-			sim.src = cfg.Arrivals
-		} else {
-			perDep := make([]workload.Source, len(cfg.Deployments))
-			for di, dep := range cfg.Deployments {
-				if dep.Source != nil {
-					perDep[di] = dep.Source
-				} else {
-					perDep[di] = workload.NewSlice(dep.Requests)
-				}
-			}
-			sim.src = MergeArrivals(perDep)
-		}
-	} else {
-		// Pre-assign concatenation-order global IDs (the historical
-		// numbering) and merge the per-deployment traces by (arrival,
-		// deployment) — the order the old all-events-upfront scheduler
-		// delivered simultaneous arrivals in.
-		nextID := 0
-		perDep := make([]workload.Source, len(cfg.Deployments))
-		for di, dep := range cfg.Deployments {
-			reqs := make([]workload.Request, len(dep.Requests))
-			copy(reqs, dep.Requests)
-			for i := range reqs {
-				reqs[i].ID = nextID
-				nextID++
-			}
-			perDep[di] = workload.NewSlice(reqs)
-		}
-		sim.src = MergeArrivals(perDep)
-		sim.nextID = nextID
-	}
-	return sim.run()
+	return RunFleet(Fleet{
+		Nodes:       []Node{{GPUs: cfg.NumGPUs, WarmContainers: cfg.WarmContainers}},
+		Deployments: cfg.Deployments,
+		Arrivals:    cfg.Arrivals,
+		Faults:      faultSpec,
+	})
 }
 
 // Run simulates serving one deployment's trace and returns its latency

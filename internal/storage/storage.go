@@ -49,7 +49,6 @@ type Store struct {
 	mu      sync.Mutex
 	objects map[string][]byte
 	sizes   map[string]uint64 // declared sizes for content-free objects
-	fetched map[string]bool   // names already charged through GetOnce
 	tracer  *obs.Tracer
 	inj     *faults.Injector
 	reg     *obs.Registry
@@ -121,7 +120,6 @@ func (s *Store) Put(clock *vclock.Clock, name string, data []byte) {
 	s.mu.Lock()
 	s.objects[name] = cp
 	s.sizes[name] = uint64(len(cp))
-	delete(s.fetched, name) // rewritten contents must be re-read
 	s.mu.Unlock()
 }
 
@@ -135,7 +133,6 @@ func (s *Store) PutSized(clock *vclock.Clock, name string, size uint64) {
 	s.mu.Lock()
 	s.objects[name] = nil
 	s.sizes[name] = size
-	delete(s.fetched, name) // rewritten contents must be re-read
 	s.mu.Unlock()
 }
 
@@ -180,38 +177,6 @@ func (s *Store) Get(clock *vclock.Clock, name string) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-// GetOnce reads an object like Get, but charges the read time only on
-// the first call per name: later calls return the bytes at zero virtual
-// cost, as the object is already resident in host memory. This is the
-// single-process analogue of the cluster cache's singleflight — the
-// template half of a v3 artifact is fetched once per process however
-// many delta-encoded artifacts reference it. The dedup state is
-// per-store and survives across clocks; faults (SiteSSDRead) roll only
-// on the charged first read.
-func (s *Store) GetOnce(clock *vclock.Clock, name string) ([]byte, error) {
-	s.mu.Lock()
-	if s.fetched == nil {
-		s.fetched = make(map[string]bool)
-	}
-	hit := s.fetched[name]
-	s.mu.Unlock()
-	if hit {
-		data, ok := s.Peek(name)
-		if !ok {
-			return nil, fmt.Errorf("storage: object %q not found", name)
-		}
-		return data, nil
-	}
-	data, err := s.Get(clock, name)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.fetched[name] = true
-	s.mu.Unlock()
-	return data, nil
-}
-
 // Peek returns an object's contents without charging I/O time or
 // recording a span — for callers that have already paid the transfer
 // elsewhere (the tiered artifact cache charges tier-dependent fetch
@@ -249,7 +214,6 @@ func (s *Store) Delete(name string) {
 	s.mu.Lock()
 	delete(s.objects, name)
 	delete(s.sizes, name)
-	delete(s.fetched, name)
 	s.mu.Unlock()
 }
 
