@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint docs linkcheck test test-race short bench perfbench-test bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo clean
+.PHONY: all check build vet lint docs linkcheck test test-race short bench perfbench-test bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo loc clean
 
 all: build test
 
@@ -143,6 +143,14 @@ cover:
 trace-demo:
 	mkdir -p results
 	$(GO) run ./cmd/medusa-simulate -rps 4 -duration 20 -phases -trace results/trace-demo.json
+
+# Line-count ledger (informational): every line of the Go files outside
+# perfbench/ and hidden directories, split into non-test and test files.
+# The non-test figure is the one ROADMAP.md tracks from PR to PR.
+LOC_GO = find . \( -path './.*' -o -path ./perfbench \) -prune -o -name '*.go'
+loc:
+	@echo "non-test Go lines (outside perfbench/): $$($(LOC_GO) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "test Go lines (outside perfbench/): $$($(LOC_GO) -name '*_test.go' -print | xargs cat | wc -l)"
 
 clean:
 	rm -rf results

@@ -40,7 +40,8 @@ func runCluster(v *cliconfig.Values, baseTC workload.TraceConfig, tracePath stri
 		sc := serverless.Config{
 			Model: cfg, Strategy: strategy, Store: store,
 			Seed:      int64(i + 1),
-			Scheduler: serverless.Scheduler{IdleTimeout: v.Idle, Batch: v.BatchParams()},
+			Scheduler: v.SchedulerConfig(),
+			Workload:  v.WorkloadConfig(),
 		}
 		if strategy.NeedsArtifact() {
 			fmt.Printf("running offline phase for %s...\n", name)

@@ -4,6 +4,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -94,5 +96,34 @@ func TestMedusaSimulateCLI(t *testing.T) {
 	out := run(t, bin, "-model", "Qwen1.5-0.5B", "-strategy", "medusa", "-rps", "5", "-duration", "10")
 	if !strings.Contains(out, "TTFT p50/p99") || !strings.Contains(out, "cold starts") {
 		t.Fatalf("simulate output malformed:\n%s", out)
+	}
+}
+
+// TestMedusaSimulateFleetHonorsFollowup pins that fleet mode (-nodes)
+// builds its deployments from the shared workload and scheduler flags:
+// with -followup, completed follow-up turns add to the completions of
+// the same arrival trace.
+func TestMedusaSimulateFleetHonorsFollowup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI integration skipped in -short mode")
+	}
+	bin := buildCmd(t, "medusa-simulate")
+	completed := func(extra ...string) int {
+		args := append([]string{"-nodes", "1", "-model", "Qwen1.5-0.5B", "-strategy", "vllm",
+			"-rps", "2", "-duration", "20"}, extra...)
+		out := run(t, bin, args...)
+		m := regexp.MustCompile(`completed\s+(\d+)`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("no completion count in output:\n%s", out)
+		}
+		n, err := strconv.Atoi(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	base, followup := completed(), completed("-followup", "0.9")
+	if followup <= base {
+		t.Fatalf("-followup 0.9 completed %d requests, want more than the %d without it", followup, base)
 	}
 }

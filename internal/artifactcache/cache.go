@@ -24,7 +24,6 @@ import (
 	"github.com/medusa-repro/medusa/internal/faults"
 	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/storage"
-	"github.com/medusa-repro/medusa/internal/vclock"
 )
 
 // Tier identifies where a fetch was served from.
@@ -84,9 +83,8 @@ func DefaultParams() Params {
 type Registry struct {
 	net storage.Array
 
-	mu      sync.Mutex
-	sizes   map[string]uint64
-	content map[string][]byte
+	mu    sync.Mutex
+	sizes map[string]uint64
 }
 
 // DefaultNetwork returns the calibrated registry link: 25 GbE at
@@ -97,22 +95,13 @@ func DefaultNetwork() storage.Array {
 
 // NewRegistry creates an empty registry behind the given network link.
 func NewRegistry(net storage.Array) *Registry {
-	return &Registry{net: net, sizes: make(map[string]uint64), content: make(map[string][]byte)}
+	return &Registry{net: net, sizes: make(map[string]uint64)}
 }
 
-// Register publishes an artifact's bytes.
-func (r *Registry) Register(name string, data []byte) {
-	r.mu.Lock()
-	r.content[name] = append([]byte(nil), data...)
-	r.sizes[name] = uint64(len(data))
-	r.mu.Unlock()
-}
-
-// RegisterSized publishes a content-free artifact of a declared size —
-// enough for timing-only simulation.
+// RegisterSized publishes an artifact of a declared size: the
+// simulators charge transfers by size and never move the bytes.
 func (r *Registry) RegisterSized(name string, size uint64) {
 	r.mu.Lock()
-	r.content[name] = nil
 	r.sizes[name] = size
 	r.mu.Unlock()
 }
@@ -123,24 +112,6 @@ func (r *Registry) Size(name string) (uint64, bool) {
 	defer r.mu.Unlock()
 	sz, ok := r.sizes[name]
 	return sz, ok
-}
-
-// Peek returns a registered artifact's bytes without charging time
-// (nil for content-free registrations).
-func (r *Registry) Peek(name string) ([]byte, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	data, ok := r.content[name]
-	if !ok {
-		if _, sized := r.sizes[name]; !sized {
-			return nil, false
-		}
-		return nil, true
-	}
-	if data == nil {
-		return nil, true
-	}
-	return append([]byte(nil), data...), true
 }
 
 // Names lists registered artifacts in sorted order.
@@ -610,31 +581,6 @@ func (c *NodeCache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Get implements engine.ArtifactSource: it charges the tier-dependent
-// fetch latency on the clock and returns the artifact's bytes from the
-// registry. Content-free (sized-only) registrations return an error —
-// timing-only simulation should use Fetch directly.
-func (c *NodeCache) Get(clock *vclock.Clock, name string) ([]byte, error) {
-	res, err := c.Fetch(clock.Now(), name)
-	if err != nil {
-		// A timed-out fetch still burned its attempts: charge that time
-		// before surfacing the typed error.
-		if res.Ready > clock.Now() {
-			clock.AdvanceTo(res.Ready)
-		}
-		return nil, err
-	}
-	clock.AdvanceTo(res.Ready)
-	data, ok := c.remote.Peek(name)
-	if !ok {
-		return nil, fmt.Errorf("artifactcache: artifact %q vanished from registry", name)
-	}
-	if data == nil {
-		return nil, fmt.Errorf("artifactcache: artifact %q registered without contents", name)
-	}
-	return data, nil
 }
 
 // insertRAM / insertSSD install an entry into a tier, evicting by

@@ -52,10 +52,6 @@ type Config struct {
 	// cache holds the deployment's artifact: score = weight·locality −
 	// load. 0 means pure load balancing; negative values are rejected.
 	LocalityWeight float64
-	// WarmContainersPerNode sizes each node's pool of pre-initialized
-	// execution environments; launches beyond it also pay runtime init.
-	// 0 means unbounded (the paper's assumption).
-	WarmContainersPerNode int
 	// PrewarmSSD pre-pulls every deployment's artifact onto every
 	// node's SSD tier before the trace starts (operator-driven warm-up,
 	// charged no virtual time).
@@ -120,9 +116,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.LocalityWeight < 0 {
 		return c, fmt.Errorf("cluster: LocalityWeight must be ≥ 0, got %g", c.LocalityWeight)
 	}
-	if c.WarmContainersPerNode < 0 {
-		return c, fmt.Errorf("cluster: WarmContainersPerNode must be ≥ 0, got %d", c.WarmContainersPerNode)
-	}
 	if err := c.SLO.Validate(); err != nil {
 		return c, err
 	}
@@ -162,7 +155,7 @@ type DeploymentResult struct {
 	Name string
 	*serverless.Result
 	// ColdStart samples each launch's end-to-end provisioning latency
-	// (runtime init + artifact fetch + loading, overlap-aware).
+	// (artifact fetch + loading, overlap-aware).
 	ColdStart *metrics.Sample
 	// SLOMet counts completed requests that met every configured
 	// deadline (0 when Config.SLO is zero).
@@ -243,7 +236,7 @@ func Run(cfg Config) (*Result, error) {
 	for i := range nodes {
 		cache := artifactcache.NewNodeCache(fmt.Sprintf("node%d", i), cfg.Cache, registry)
 		cache.SetObs(cfg.Tracer, reg)
-		nodes[i] = serverless.Node{GPUs: cfg.GPUsPerNode, WarmContainers: cfg.WarmContainersPerNode, Cache: cache}
+		nodes[i] = serverless.Node{GPUs: cfg.GPUsPerNode, Cache: cache}
 	}
 	deps := make([]serverless.Deployment, len(cfg.Deployments))
 	for di, dep := range cfg.Deployments {

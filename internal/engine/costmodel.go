@@ -7,9 +7,9 @@ import (
 )
 
 // RuntimeInitDuration is the container + Python + framework import
-// phase that precedes loading in a cold start. Warm container pools
-// eliminate it, so the simulators charge it only to launches that miss
-// the pool.
+// phase that precedes loading in a cold start (Options.
+// IncludeRuntimeInit). Warm container pools eliminate it, and the
+// simulators assume an unbounded pool (§7.5), so they never charge it.
 const RuntimeInitDuration = 830 * time.Millisecond
 
 // Calibrated cost-model constants. Anchors come from the paper's
@@ -52,6 +52,10 @@ const (
 	// artifactDecodePerNode is the CPU cost of parsing one materialized
 	// node at restore time.
 	artifactDecodePerNode = time.Microsecond
+
+	// gpuMemoryUtilization caps usable device memory like vLLM's
+	// gpu_memory_utilization default.
+	gpuMemoryUtilization = 0.9
 
 	// firstTokenOverhead is API/scheduler overhead before the first
 	// prefill of a fresh instance.

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/cuda"
-	"github.com/medusa-repro/medusa/internal/faults"
 	"github.com/medusa-repro/medusa/internal/gpu"
 	"github.com/medusa-repro/medusa/internal/kernels"
 	"github.com/medusa-repro/medusa/internal/kvcache"
@@ -245,9 +244,6 @@ type Options struct {
 	// CheckpointBytes is the image size for StrategyCheckpoint, from a
 	// prior TakeCheckpoint.
 	CheckpointBytes uint64
-	// GPUMemoryUtilization caps usable device memory like vLLM's
-	// gpu_memory_utilization (default 0.9).
-	GPUMemoryUtilization float64
 	// Tuning overrides calibrated cost-model knobs; nil keeps the
 	// A100/Optane calibration. Used by the sensitivity-analysis
 	// experiment to show conclusions survive parameter perturbation.
@@ -256,26 +252,10 @@ type Options struct {
 	// hold hidden kernels (§5).
 	TriggerMode TriggerMode
 	// Tracer, when set, receives the composed cold-start timeline as
-	// phase-tagged spans (positioned on Clock when one is set) plus
-	// internal per-stage detail spans on a "<track>/internal" lane.
+	// phase-tagged spans on the "engine/<model>/<strategy>" lane
+	// (positioned on Clock when one is set) plus internal per-stage
+	// detail spans on a "<lane>/internal" lane.
 	Tracer *obs.Tracer
-	// Track names the tracer lane; empty derives
-	// "engine/<model>/<strategy>".
-	Track string
-	// Faults, when set, injects restore-path faults (artifact
-	// corruption, restore-validation mismatches) into this cold start.
-	// An injected fault never aborts the launch: ColdStart degrades the
-	// instance to the vanilla cold-start stages and records the reason
-	// (the paper §4 fallback). Nil injects nothing.
-	Faults *faults.Injector
-}
-
-// trackName resolves the tracer lane for these options.
-func (o Options) trackName() string {
-	if o.Track != "" {
-		return o.Track
-	}
-	return fmt.Sprintf("engine/%s/%s", o.Model.Name, o.Strategy)
 }
 
 // TriggerMode selects the triggering-kernels implementation.
@@ -327,9 +307,6 @@ func (o Options) withDefaults() (Options, error) {
 	if len(o.CaptureSizes) == 0 {
 		o.CaptureSizes = model.CaptureBatchSizes()
 	}
-	if o.GPUMemoryUtilization == 0 {
-		o.GPUMemoryUtilization = 0.9
-	}
 	info := o.Strategy.Info()
 	if info.NeedsArtifact && o.Artifact == nil {
 		return o, fmt.Errorf("engine: %v requires an artifact", o.Strategy)
@@ -370,14 +347,7 @@ type Instance struct {
 
 	decodeDur  map[int]time.Duration
 	prefillDur map[int]time.Duration
-
-	degradedReason string
 }
-
-// DegradedReason reports why this instance fell back to the vanilla
-// cold-start stages ("" for a clean launch): one of the faults.Reason*
-// constants, recorded when a Medusa restore failed survivably.
-func (inst *Instance) DegradedReason() string { return inst.degradedReason }
 
 // Timeline returns the cold start's stage timeline.
 func (inst *Instance) Timeline() *trace.Timeline { return inst.timeline }
@@ -435,53 +405,13 @@ func (inst *Instance) KVRecord() medusa.KVRecord { return inst.kvRecord }
 // require it: capture needs weights, restore needs structure); the
 // strategy then composes the stage durations into the externally
 // observable timeline — overlapping what the strategy overlaps — and
-// advances opts.Clock by the composed total.
-//
-// When an artifact-backed launch fails with a degradable fault (a
-// corrupt artifact or a restore-validation mismatch, injected via
-// Options.Faults or surfaced by the wire-format checksums), ColdStart
-// does not error: it falls back to the vanilla cold-start stages — the
-// paper §4 fallback — prepending the failed attempt's wasted time as a
-// "restore_failed" stage and recording the reason on the instance
-// (DegradedReason). The fallback itself runs fault-free: one launch
-// degrades at most once.
+// advances opts.Clock by the composed total. The first stage error
+// aborts the launch; the event loop, not the engine, decides whether a
+// failed restore degrades to a vanilla cold start (FAILURES.md).
 func ColdStart(opts Options) (*Instance, error) {
-	inst, wasted, err := coldStartOnce(opts)
-	if err != nil {
-		reason, degradable := faults.DegradeReason(err)
-		if !degradable || !opts.Strategy.NeedsArtifact() {
-			return nil, err
-		}
-		fopts := opts
-		fopts.Strategy = StrategyVLLM
-		fopts.Artifact = nil
-		fopts.ArtifactBytes = 0
-		fopts.ArtifactPreloaded = false
-		fopts.Faults = nil
-		inst, _, err = coldStartOnce(fopts)
-		if err != nil {
-			return nil, fmt.Errorf("engine: vanilla fallback after %s: %w", reason, err)
-		}
-		inst.markDegraded(reason, wasted)
-	}
-	base := time.Duration(0)
-	if opts.Clock != nil {
-		base = opts.Clock.Now()
-		opts.Clock.Advance(inst.timeline.Total())
-	}
-	inst.emitTimelineSpans(base)
-	return inst, nil
-}
-
-// coldStartOnce runs one cold-start attempt: all stages on a fresh
-// private clock, timeline composed, but no shared-clock advance and no
-// span emission (ColdStart layers those on after fallback handling).
-// On error it reports the attempt's private-clock elapsed time, so the
-// caller can account the wasted work.
-func coldStartOnce(opts Options) (*Instance, time.Duration, error) {
 	opts, err := opts.withDefaults()
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	mode := gpu.CostOnly
 	if opts.Model.Functional {
@@ -519,14 +449,14 @@ func coldStartOnce(opts Options) (*Instance, time.Duration, error) {
 		decodeDur:  make(map[int]time.Duration),
 		prefillDur: make(map[int]time.Duration),
 	}
-	inst.track = opts.trackName()
+	inst.track = fmt.Sprintf("engine/%s/%s", opts.Model.Name, opts.Strategy)
 	if opts.Recorder != nil {
 		proc.SetHooks(opts.Recorder.Hooks())
 	}
 	if opts.Strategy.NeedsArtifact() {
 		rest, err := medusa.NewRestorer(proc, opts.Artifact)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		inst.restorer = rest
 	}
@@ -536,67 +466,46 @@ func coldStartOnce(opts Options) (*Instance, time.Duration, error) {
 
 	dStruct = clock.Span(func() { err = inst.stageStructInit() })
 	if err != nil {
-		return nil, clock.Now(), fmt.Errorf("engine: struct init: %w", err)
+		return nil, fmt.Errorf("engine: struct init: %w", err)
 	}
 	dWeights = clock.Span(func() { err = inst.stageWeights() })
 	if err != nil {
-		return nil, clock.Now(), fmt.Errorf("engine: weights loading: %w", err)
+		return nil, fmt.Errorf("engine: weights loading: %w", err)
 	}
 	dTok = clock.Span(func() { err = inst.stageTokenizer() })
 	if err != nil {
-		return nil, clock.Now(), fmt.Errorf("engine: tokenizer: %w", err)
+		return nil, fmt.Errorf("engine: tokenizer: %w", err)
 	}
 	if opts.Strategy.NeedsArtifact() {
 		dKV = clock.Span(func() { err = inst.stageKVRestore() })
 		if err != nil {
-			return nil, clock.Now(), fmt.Errorf("engine: KV restore: %w", err)
+			return nil, fmt.Errorf("engine: KV restore: %w", err)
 		}
 		dCapture = clock.Span(func() { err = inst.stageGraphRestore() })
 		if err != nil {
-			return nil, clock.Now(), fmt.Errorf("engine: graph restore: %w", err)
+			return nil, fmt.Errorf("engine: graph restore: %w", err)
 		}
 	} else {
 		dKV = clock.Span(func() { err = inst.stageKVInit() })
 		if err != nil {
-			return nil, clock.Now(), fmt.Errorf("engine: KV init: %w", err)
+			return nil, fmt.Errorf("engine: KV init: %w", err)
 		}
 		if opts.Strategy.Info().CapturesEagerly {
 			dCapture = clock.Span(func() { err = inst.stageCapture() })
 			if err != nil {
-				return nil, clock.Now(), fmt.Errorf("engine: capture: %w", err)
+				return nil, fmt.Errorf("engine: capture: %w", err)
 			}
 		}
 	}
 
 	inst.compose(dStruct, dWeights, dTok, dKV, dCapture)
-	return inst, 0, nil
-}
-
-// markDegraded records the fallback on the instance: the reason, and a
-// "restore_failed" stage holding the failed attempt's wasted time
-// ahead of the (already composed) vanilla stages. Runtime init, when
-// present, stays first — the container initialized once, before the
-// restore was attempted.
-func (inst *Instance) markDegraded(reason string, wasted time.Duration) {
-	inst.degradedReason = reason
-	if wasted <= 0 {
-		return
+	base := time.Duration(0)
+	if opts.Clock != nil {
+		base = opts.Clock.Now()
+		opts.Clock.Advance(inst.timeline.Total())
 	}
-	old := inst.timeline
-	nt := &trace.Timeline{}
-	shiftFrom := time.Duration(0)
-	if d := old.StageDuration(StageRuntimeInit); d > 0 {
-		nt.Record(StageRuntimeInit, 0, d)
-		shiftFrom = d
-	}
-	nt.Record(StageRestoreFailed, shiftFrom, shiftFrom+wasted)
-	for _, st := range old.Stages() {
-		if st.Name == StageRuntimeInit {
-			continue
-		}
-		nt.Record(st.Name, st.Start+wasted, st.End+wasted)
-	}
-	inst.timeline = nt
+	inst.emitTimelineSpans(base)
+	return inst, nil
 }
 
 // emitTimelineSpans renders the composed cold-start timeline onto the
@@ -612,9 +521,6 @@ func (inst *Instance) emitTimelineSpans(base time.Duration) {
 		Tag("cold_start").
 		Attr("strategy", inst.opts.Strategy.String()).
 		Attr("model", inst.opts.Model.Name)
-	if inst.degradedReason != "" {
-		root.Attr("degraded_reason", inst.degradedReason)
-	}
 	for _, st := range inst.timeline.Stages() {
 		root.Child(st.Name, base+st.Start).Tag(st.Name).End(base + st.End)
 	}

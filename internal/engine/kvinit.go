@@ -32,8 +32,8 @@ func (inst *Instance) stageKVInit() error {
 	}
 	profDone()
 	// Residual memory after the worst-case forwarding, under the
-	// configured utilization cap.
-	usable := uint64(inst.opts.GPUMemoryUtilization * float64(inst.proc.Device().Config().TotalMemory))
+	// utilization cap.
+	usable := uint64(gpuMemoryUtilization * float64(inst.proc.Device().Config().TotalMemory))
 	peak := inst.proc.Device().PeakUsedMemory()
 	if peak >= usable {
 		return fmt.Errorf("engine: model leaves no room for KV cache (peak %d, usable %d)", peak, usable)

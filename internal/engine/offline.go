@@ -289,20 +289,10 @@ func validateArtifact(offline *Instance, art *medusa.Artifact, opts OfflineOptio
 	return res, nil
 }
 
-// ArtifactSource abstracts where encoded artifacts are fetched from: a
-// plain storage.Store, or the cluster's tiered artifact cache, which
-// charges tier-dependent fetch time (RAM, node-local SSD, or remote
-// registry) and deduplicates concurrent cold-start fetches.
-type ArtifactSource interface {
-	// Get returns the named object's bytes, advancing the clock by the
-	// fetch latency.
-	Get(clock *vclock.Clock, name string) ([]byte, error)
-}
-
-// LoadArtifact fetches and decodes a model's artifact from the source,
+// LoadArtifact reads and decodes a model's artifact from the store,
 // charging read time on the clock.
-func LoadArtifact(src ArtifactSource, clock *vclock.Clock, modelName string) (*medusa.Artifact, uint64, error) {
-	raw, err := src.Get(clock, ArtifactKey(modelName))
+func LoadArtifact(store *storage.Store, clock *vclock.Clock, modelName string) (*medusa.Artifact, uint64, error) {
+	raw, err := store.Get(clock, ArtifactKey(modelName))
 	if err != nil {
 		return nil, 0, err
 	}

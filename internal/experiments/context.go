@@ -104,25 +104,11 @@ func (c *Context) nextSeedLocked() int64 {
 
 // Artifact runs (or reuses) the offline phase for a model.
 func (c *Context) Artifact(cfg model.Config) (*medusa.Artifact, uint64, *engine.OfflineReport, error) {
-	c.mu.Lock()
-	e, ok := c.artifacts[cfg.Name]
-	c.mu.Unlock()
-	if ok {
-		return e.art, e.bytes, e.report, nil
+	if err := c.PrefetchArtifacts([]model.Config{cfg}, 1); err != nil {
+		return nil, 0, nil, err
 	}
-	art, report, err := engine.RunOffline(engine.OfflineOptions{
-		Model:  cfg,
-		Store:  c.Store,
-		Seed:   c.NextSeed(),
-		Clock:  vclock.New(),
-		Tracer: c.Tracer,
-	})
-	if err != nil {
-		return nil, 0, nil, fmt.Errorf("offline phase for %s: %w", cfg.Name, err)
-	}
-	e = &artifactEntry{art: art, bytes: report.ArtifactBytes, report: report}
 	c.mu.Lock()
-	c.artifacts[cfg.Name] = e
+	e := c.artifacts[cfg.Name]
 	c.mu.Unlock()
 	return e.art, e.bytes, e.report, nil
 }

@@ -6,8 +6,9 @@
 // virtual instant. The paper's §4 safety story is that materialized
 // state is never trusted blindly: whenever validation fails, the
 // system "falls back to the vanilla cold start". This package supplies
-// the failures; storage, artifactcache, engine, serverless and cluster
-// supply the survival paths (see FAILURES.md for the full catalog).
+// the failures; the serverless event loop (which cluster runs) and
+// artifactcache supply the survival paths (see FAILURES.md for the
+// full catalog).
 //
 // Determinism is the design constraint everything here serves. The
 // injector draws no shared random stream: every decision is a pure
@@ -45,8 +46,9 @@ const (
 	// the virtual clock; exhausting them yields a FetchTimeoutError and
 	// the launch degrades to the vanilla cold start.
 	SiteRegistryTimeout Site = "registry_timeout"
-	// SiteSSDRead fails a local SSD read (storage.Store.Get, or the
-	// SSD tier of a node cache, which falls through to the registry).
+	// SiteSSDRead fails a local SSD read: a cacheless node's artifact
+	// read, or the SSD tier of a node cache, which falls through to the
+	// registry.
 	SiteSSDRead Site = "ssd_read"
 	// SiteRestoreMismatch makes a Medusa restore's validation diverge
 	// (a RestoreMismatchError): the replayed allocation sequence no

@@ -24,7 +24,6 @@ package gpu
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"github.com/medusa-repro/medusa/internal/vclock"
 )
@@ -165,23 +164,3 @@ func (d *Device) FindBuffer(addr uint64) (*Buffer, uint64, bool) {
 
 // LiveBuffers returns the number of live allocations.
 func (d *Device) LiveBuffers() int { return len(d.alloc.live) }
-
-// ChargeMemBound advances the clock by the time a memory-bound operation
-// over nbytes takes at HBM bandwidth, with a floor for tiny kernels.
-func (d *Device) ChargeMemBound(nbytes uint64, floor time.Duration) {
-	t := time.Duration(float64(nbytes) / d.cfg.MemBandwidth * float64(time.Second))
-	if t < floor {
-		t = floor
-	}
-	d.clock.Advance(t)
-}
-
-// ChargeComputeBound advances the clock by the time a compute-bound
-// operation of the given FLOP count takes, assuming 50% of peak.
-func (d *Device) ChargeComputeBound(flops float64, floor time.Duration) {
-	t := time.Duration(flops / (0.5 * d.cfg.PeakFLOPS) * float64(time.Second))
-	if t < floor {
-		t = floor
-	}
-	d.clock.Advance(t)
-}

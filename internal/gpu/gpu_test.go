@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"github.com/medusa-repro/medusa/internal/vclock"
 )
@@ -204,25 +203,6 @@ func TestCostOnlyRejectsDataAccess(t *testing.T) {
 	buf, _ := d.Buffer(a)
 	if err := buf.WriteAt(0, []byte{1}); err == nil {
 		t.Fatal("cost-only device allowed data access")
-	}
-}
-
-func TestChargeTiming(t *testing.T) {
-	clk := vclock.New()
-	d := NewDevice(A100(11, CostOnly), clk)
-	d.ChargeMemBound(1555_000_000_000, 0) // exactly one second of HBM traffic
-	if got := clk.Now(); got < 999*time.Millisecond || got > 1001*time.Millisecond {
-		t.Fatalf("mem-bound charge advanced %v, want ~1s", got)
-	}
-	before := clk.Now()
-	d.ChargeMemBound(1, 5*time.Microsecond) // floor applies
-	if got := clk.Now() - before; got != 5*time.Microsecond {
-		t.Fatalf("floor charge = %v, want 5µs", got)
-	}
-	before = clk.Now()
-	d.ChargeComputeBound(0.5*312e12, 0) // one second at 50% of peak
-	if got := clk.Now() - before; got < 999*time.Millisecond || got > 1001*time.Millisecond {
-		t.Fatalf("compute-bound charge advanced %v, want ~1s", got)
 	}
 }
 

@@ -6,10 +6,10 @@
 // lets exporter output be golden-tested.
 //
 // The span model is hierarchical: a Span belongs to a track (one track
-// per simulated GPU/instance, plus auxiliary tracks like "storage" or
-// a request queue), carries a phase tag (the engine's Stage* names,
-// "queued", "prefill", "decode", …) and ordered key/value attributes,
-// and may nest children. Exporters — the Chrome trace_event writer in
+// per simulated GPU/instance, plus auxiliary tracks like a node's
+// artifact cache or a request queue), carries a phase tag (the
+// engine's Stage* names, "queued", "prefill", "decode", …) and ordered
+// key/value attributes, and may nest children. Exporters — the Chrome trace_event writer in
 // chrome.go and the Figure-5-style phase table in phases.go — render
 // the same spans for Perfetto and for terminals respectively.
 //
@@ -181,10 +181,10 @@ func (t *Tracer) Len() int {
 // Name, End, Phase, Attrs, ID) — the deterministic order the exporters
 // render in. Every tie-break before ID is a content field, so exporter
 // output is a pure function of the span *set*: concurrent emitters
-// (the storage tier under the parallel offline pipeline, the cluster
-// cache's prefetch path) may interleave insertion differently between
-// runs without changing what the exporters write. ID keeps even
-// fully-identical duplicate spans deterministic within a run.
+// (the offline phases PrefetchArtifacts runs in parallel) may
+// interleave insertion differently between runs without changing what
+// the exporters write. ID keeps even fully-identical duplicate spans
+// deterministic within a run.
 func (t *Tracer) Spans() []SpanData {
 	if t == nil {
 		return nil

@@ -78,21 +78,6 @@ func (*Scored) Score(c Candidate) float64 {
 		WeightTTFT*c.PredTTFT
 }
 
-// Pick returns the index of the best-scoring candidate, ties broken by
-// lowest ID, or −1 for an empty slate.
-func Pick(p Policy, cands []Candidate) int {
-	best := -1
-	var bestScore float64
-	var bestID int
-	for i, c := range cands {
-		s := p.Score(c)
-		if best < 0 || s > bestScore || (s == bestScore && c.ID < bestID) {
-			best, bestScore, bestID = i, s, c.ID
-		}
-	}
-	return best
-}
-
 // Rank orders indices into cands by descending score, ties broken by
 // ascending ID — the dispatch order the cluster simulator walks.
 func Rank(p Policy, cands []Candidate) []int {

@@ -11,8 +11,8 @@ func TestLeastLoadedPrefersEmptiest(t *testing.T) {
 		{ID: 2, QueueDepth: 1},
 		{ID: 9, QueueDepth: 1},
 	}
-	if got := Pick(p, cands); got != 1 {
-		t.Fatalf("Pick = %d (id %d), want index 1 (id 2)", got, cands[got].ID)
+	if got := Rank(p, cands)[0]; got != 1 {
+		t.Fatalf("Rank head = %d (id %d), want index 1 (id 2)", got, cands[got].ID)
 	}
 }
 
@@ -36,7 +36,7 @@ func TestScoredWeighsAllSignals(t *testing.T) {
 
 // TestPickTieBreaksByLowestID pins the deterministic contract: exact
 // score ties resolve to the lowest instance id regardless of slice
-// order.
+// order, so the dispatcher's pick (the head of Rank) is that id.
 func TestPickTieBreaksByLowestID(t *testing.T) {
 	p := &LeastLoaded{}
 	cands := []Candidate{
@@ -44,11 +44,11 @@ func TestPickTieBreaksByLowestID(t *testing.T) {
 		{ID: 3, QueueDepth: 2},
 		{ID: 11, QueueDepth: 2},
 	}
-	if got := Pick(p, cands); cands[got].ID != 3 {
+	if got := Rank(p, cands)[0]; cands[got].ID != 3 {
 		t.Fatalf("tie went to id %d, want 3", cands[got].ID)
 	}
-	if got := Pick(p, nil); got != -1 {
-		t.Fatalf("empty slate picked %d", got)
+	if got := Rank(p, nil); len(got) != 0 {
+		t.Fatalf("empty slate ranked %v", got)
 	}
 }
 

@@ -35,7 +35,23 @@ func churnReqs(n int) []workload.Request {
 	return reqs
 }
 
+// TestRunDegradesPerSite checks FAILURES.md's wasted-time rule per
+// site: a degraded launch costs the failed attempt (the restore_failed
+// phase) plus one vanilla cold start, measured from a clean vLLM run.
 func TestRunDegradesPerSite(t *testing.T) {
+	perLaunch := func(cfg Config) time.Duration {
+		t.Helper()
+		res, err := Run(cfg, churnReqs(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.ColdStartTotal / time.Duration(res.ColdStarts)
+	}
+	cleanMedusa := faultyMedusa(t, nil)
+	vanilla := cleanMedusa
+	vanilla.Strategy = engine.StrategyVLLM
+	vanilla.Cache = CacheSpec{}
+	medusaLaunch, vanillaLaunch := perLaunch(cleanMedusa), perLaunch(vanilla)
 	for _, tc := range []struct {
 		name   string
 		plan   faults.Plan
@@ -60,6 +76,22 @@ func TestRunDegradesPerSite(t *testing.T) {
 		}
 		if got := int(res.Metrics.Counter("degraded_" + tc.reason).Value()); got != res.Degraded {
 			t.Fatalf("%s: degraded_%s = %d, want %d", tc.name, tc.reason, got, res.Degraded)
+		}
+		wasted := res.ColdStartPhases.Duration(engine.StageRestoreFailed)
+		if wasted <= 0 {
+			t.Fatalf("%s: no restore_failed time charged", tc.name)
+		}
+		if want := wasted + time.Duration(res.Degraded)*vanillaLaunch; res.ColdStartTotal != want {
+			t.Fatalf("%s: cold-start total %v, want restore_failed %v + %d × vanilla %v = %v",
+				tc.name, res.ColdStartTotal, wasted, res.Degraded, vanillaLaunch, want)
+		}
+		// A mismatch is caught only after the whole restore ran: each
+		// launch wastes exactly one clean Medusa cold start.
+		if tc.reason == faults.ReasonRestoreMismatch {
+			if got := wasted / time.Duration(res.Degraded); got != medusaLaunch {
+				t.Fatalf("%s: restore_failed per launch %v, want the clean Medusa cold start %v",
+					tc.name, got, medusaLaunch)
+			}
 		}
 		// The degraded launch pays the failed attempt plus a vanilla cold
 		// start, so its TTFT exceeds the clean Medusa launch's.

@@ -19,10 +19,6 @@ import (
 type Node struct {
 	// GPUs bounds the GPUs the node's instances occupy.
 	GPUs int
-	// WarmContainers sizes the node's pool of pre-initialized execution
-	// environments; launches beyond it also pay runtime init. 0 means
-	// an unbounded pool (the paper's assumption).
-	WarmContainers int
 	// Cache fronts the shared artifact registry for launches placed on
 	// the node. Nil makes a cacheless node, as in the paper's GPU pool:
 	// launches read the artifact from the deployment's model store.
@@ -108,10 +104,7 @@ func RunFleet(f Fleet) (*MultiResult, error) {
 	}
 	maxGPUs, cached := 0, false
 	for i, n := range f.Nodes {
-		ns := &nodeState{id: i, gpus: n.GPUs, warmLeft: -1, cache: n.Cache}
-		if n.WarmContainers > 0 {
-			ns.warmLeft = n.WarmContainers
-		}
+		ns := &nodeState{id: i, gpus: n.GPUs, cache: n.Cache}
 		if n.Cache != nil {
 			n.Cache.SetFaults(sim.inj)
 			cached = true

@@ -9,7 +9,12 @@ import (
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/storage"
 	"github.com/medusa-repro/medusa/internal/trace"
+	"github.com/medusa-repro/medusa/internal/workload"
 )
+
+// avgContextTokens is the mean sequence context assumed for decode
+// KV-read accounting: a ShareGPT prompt plus half its output.
+const avgContextTokens = workload.ShareGPTMeanPrompt + workload.ShareGPTMeanOutput/2
 
 // Profile is the timing fingerprint one (model, strategy) template
 // instance yields: the cold-start duration and stage layout plus the
@@ -74,7 +79,6 @@ type profileKey struct {
 	artifact      *medusa.Artifact
 	artifactBytes uint64
 	preloaded     bool
-	avgContext    int
 }
 
 type profileSlot struct {
@@ -94,7 +98,6 @@ func (c *ProfileCache) entry(cfg Config) (*profileEntry, error) {
 		artifact:      cfg.Cache.Artifact,
 		artifactBytes: cfg.Cache.ArtifactBytes,
 		preloaded:     cfg.Cache.ArtifactPreloaded,
-		avgContext:    cfg.Workload.AvgContextTokens,
 	}
 	c.mu.Lock()
 	s, ok := c.slots[k]
@@ -182,7 +185,7 @@ func buildProfile(cfg Config) (*profileEntry, error) {
 	// 2 bytes · layers over HBM bandwidth; sharded TP ranks each read
 	// 1/TP of it in parallel.
 	m := cfg.Model
-	bytesPerSeq := float64(cfg.Workload.AvgContextTokens) * float64(m.Hidden) * 2 * 2 * float64(m.Layers) / float64(cfg.TPDegree)
+	bytesPerSeq := float64(avgContextTokens) * float64(m.Hidden) * 2 * 2 * float64(m.Layers) / float64(cfg.TPDegree)
 
 	if cfg.TPDegree > 1 {
 		tp, err := engine.TPColdStart(engine.TPOptions{

@@ -46,9 +46,6 @@ func (e *ConfigError) Error() string {
 // Workload groups the assumptions about the request stream's shape —
 // everything about traffic that is not the arrival trace itself.
 type Workload struct {
-	// AvgContextTokens is the mean sequence context assumed for decode
-	// KV-read accounting (default: ShareGPT prompt + half output).
-	AvgContextTokens int
 	// FollowUp, when set, turns the trace into multi-turn
 	// conversations: after a request completes, the "user" reads the
 	// answer and may send a follow-up whose prompt includes the
@@ -59,10 +56,6 @@ type Workload struct {
 // Validate checks the workload sub-config, naming fields under the
 // "Workload." path.
 func (w Workload) Validate() error {
-	if w.AvgContextTokens < 0 {
-		return &ConfigError{Field: "Workload.AvgContextTokens",
-			Reason: fmt.Sprintf("must be ≥ 0, got %d", w.AvgContextTokens)}
-	}
 	if fu := w.FollowUp; fu != nil {
 		if fu.Probability < 0 || fu.Probability > 1 {
 			return &ConfigError{Field: "Workload.FollowUp.Probability",
@@ -91,12 +84,6 @@ type Scheduler struct {
 	// cold start charged), modelling an already-running deployment —
 	// Figure 11's setting, where only scale-out pays cold starts.
 	Prewarm int
-	// WarmContainers sizes the pool of pre-initialized execution
-	// environments (§7.5's assumption, from SAND/SOCK-style systems).
-	// Launches beyond the pool also pay the runtime-initialization
-	// phase on top of the loading phase. 0 means an unbounded pool —
-	// the paper's setting.
-	WarmContainers int
 	// Batch selects iteration-level continuous batching with paged KV
 	// and chunked prefill (internal/sched) when Batch.BatchTokens > 0.
 	// The zero value keeps the legacy whole-request admission path,
@@ -118,8 +105,6 @@ func (s Scheduler) Validate() error {
 		return &ConfigError{Field: "Scheduler.IdleTimeout", Reason: fmt.Sprintf("must be ≥ 0, got %v", s.IdleTimeout)}
 	case s.Prewarm < 0:
 		return &ConfigError{Field: "Scheduler.Prewarm", Reason: fmt.Sprintf("must be ≥ 0, got %d", s.Prewarm)}
-	case s.WarmContainers < 0:
-		return &ConfigError{Field: "Scheduler.WarmContainers", Reason: fmt.Sprintf("must be ≥ 0, got %d", s.WarmContainers)}
 	case s.Batch.BatchTokens < 0:
 		return &ConfigError{Field: "Scheduler.Batch.BatchTokens", Reason: fmt.Sprintf("must be ≥ 0, got %d", s.Batch.BatchTokens)}
 	case s.Batch.KVBlocks < 0:
@@ -153,9 +138,6 @@ type CacheSpec struct {
 	// alongside the delta (cached independently, shared across sibling
 	// deployments); ArtifactBytes then means the delta's encoded size.
 	Template *medusa.Template
-	// TemplateBytes is the encoded template's size; zero means "encode
-	// to measure". Only meaningful with Template set.
-	TemplateBytes uint64
 }
 
 // ColdFetchBytes is the byte count one cold start must move for the
@@ -182,14 +164,11 @@ func (c CacheSpec) ColdFetchBytes() (uint64, error) {
 	return uint64(len(enc)), nil
 }
 
-// EncodedTemplateBytes is the encoded template's size (TemplateBytes
-// when declared, measured otherwise); zero without a template.
+// EncodedTemplateBytes is the encoded template's size; zero without a
+// template.
 func (c CacheSpec) EncodedTemplateBytes() uint64 {
 	if c.Template == nil {
 		return 0
-	}
-	if c.TemplateBytes != 0 {
-		return c.TemplateBytes
 	}
 	return uint64(len(c.Template.Encode()))
 }
@@ -370,9 +349,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Scheduler.Batch.Enabled() && c.Scheduler.Batch.MaxSeqs == 0 {
 		c.Scheduler.Batch.MaxSeqs = c.Scheduler.MaxBatch
 	}
-	if c.Workload.AvgContextTokens == 0 {
-		c.Workload.AvgContextTokens = workload.ShareGPTMeanPrompt + workload.ShareGPTMeanOutput/2
-	}
 	if c.Store == nil {
 		c.Store = storage.NewStore(storage.DefaultArray())
 	}
@@ -411,9 +387,9 @@ type Result struct {
 	// PeakInstances is the maximum concurrently provisioned instances.
 	PeakInstances int
 	// ColdStartPhases is the exclusive per-phase attribution of every
-	// cold start this deployment paid (runtime init, the strategy's
-	// loading stages, overlap gaps). By construction its Total equals
-	// ColdStartTotal exactly.
+	// cold start this deployment paid (artifact fetch, restore_failed,
+	// the strategy's loading stages, overlap gaps). By construction its
+	// Total equals ColdStartTotal exactly.
 	ColdStartPhases *obs.PhaseBreakdown
 	// ColdStartTotal sums the end-to-end durations of all cold starts.
 	ColdStartTotal time.Duration
@@ -427,8 +403,7 @@ type Deployment struct {
 	// Name labels the deployment in results.
 	Name string
 	// Config carries the model, strategy and per-deployment policies.
-	// NumGPUs and WarmContainers are cluster-wide and taken from
-	// MultiConfig instead.
+	// NumGPUs is cluster-wide and taken from MultiConfig instead.
 	Config Config
 	// Requests is the deployment's arrival trace.
 	Requests []workload.Request
@@ -445,9 +420,6 @@ type Deployment struct {
 type MultiConfig struct {
 	// NumGPUs is the shared pool size.
 	NumGPUs int
-	// WarmContainers sizes the shared warm execution-environment pool
-	// (0 = unbounded, the paper's assumption).
-	WarmContainers int
 	// Deployments are the co-located models.
 	Deployments []Deployment
 	// Arrivals, when set, supplies every deployment's traffic as one
@@ -478,8 +450,8 @@ type MultiResult struct {
 }
 
 // RunMulti simulates several deployments contending for one GPU pool:
-// a fleet of one cacheless node with the pool's GPUs and warm
-// containers, reactive autoscaling, launch-order dispatch and no SLO.
+// a fleet of one cacheless node with the pool's GPUs, reactive
+// autoscaling, launch-order dispatch and no SLO.
 // The pool has no nodes to crash and no artifact registry, so the fault
 // plan's node crashes are dropped here, and its registry and template
 // sites never draw.
@@ -494,7 +466,7 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 		faultSpec.Plan = &plan
 	}
 	return RunFleet(Fleet{
-		Nodes:       []Node{{GPUs: cfg.NumGPUs, WarmContainers: cfg.WarmContainers}},
+		Nodes:       []Node{{GPUs: cfg.NumGPUs}},
 		Deployments: cfg.Deployments,
 		Arrivals:    cfg.Arrivals,
 		Faults:      faultSpec,
@@ -512,10 +484,9 @@ func Run(cfg Config, reqs []workload.Request) (*Result, error) {
 		return nil, fmt.Errorf("serverless: empty trace")
 	}
 	multi, err := RunMulti(MultiConfig{
-		NumGPUs:        cfg.NumGPUs,
-		WarmContainers: cfg.Scheduler.WarmContainers,
-		Deployments:    []Deployment{{Name: cfg.Model.Name, Config: cfg, Requests: reqs}},
-		Faults:         cfg.Faults,
+		NumGPUs:     cfg.NumGPUs,
+		Deployments: []Deployment{{Name: cfg.Model.Name, Config: cfg, Requests: reqs}},
+		Faults:      cfg.Faults,
 	})
 	if err != nil {
 		return nil, err

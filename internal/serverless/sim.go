@@ -41,11 +41,11 @@ import (
 //     incrementally via per-deployment live-instance lists and
 //     counters.
 //
-// Every launch picks a node (locality against load), then charges
-// runtime init and the artifact read. How the read is charged is the
-// loop's one node-dependent branch (launchOne): a cacheless node reads
-// the artifact from the model store after runtime init, a cached node
-// fetches it through its tiered cache while the container boots.
+// Every launch picks a node (locality against load), then charges the
+// artifact read; warm containers spare it runtime init. How the read
+// is charged is the loop's one node-dependent branch (launchOne): a
+// cacheless node reads the artifact from the model store, a cached
+// node fetches it through its tiered cache.
 
 // eventKind discriminates simulation events.
 type eventKind int
@@ -122,13 +122,12 @@ func (inst *instState) idleNow(batched bool) bool {
 	return !inst.iterating && len(inst.running) == 0
 }
 
-// nodeState is one node: a GPU budget, a warm-container pool and, on a
-// fleet, the tiered artifact cache.
+// nodeState is one node: a GPU budget and, on a fleet, the tiered
+// artifact cache.
 type nodeState struct {
 	id       int
 	gpus     int
 	gpusUsed int
-	warmLeft int // -1 = unbounded
 	launches int
 	crashed  bool
 	cache    *artifactcache.NodeCache // nil on a cacheless node
@@ -694,10 +693,11 @@ func (s *simulation) retainVeto(inst *instState) bool {
 }
 
 // launchOne starts at most one instance for the deployment if its
-// autoscaling policy wants more and some node has free GPUs. Launches
-// that miss the node's warm pool first pay runtime init; the artifact
-// read is the one step that depends on the node (see readLocal and
-// fetchCached). The loading stages follow once both are done.
+// autoscaling policy wants more and some node has free GPUs. Every
+// launch lands in a warm container (the unbounded pool §7.5 assumes),
+// so no runtime init is charged. The artifact read is the one step
+// that depends on the node (see readLocal and fetchCached); the loading
+// stages follow once it is done.
 func (s *simulation) launchOne(di int) (bool, error) {
 	d := s.deps[di]
 	if d.live >= s.scaler.Desired(di, s.observe(di)) {
@@ -720,21 +720,12 @@ func (s *simulation) launchOne(di int) (bool, error) {
 
 	intervals := s.scratchIntervals[:0]
 	loadStart := s.now
-	if node.warmLeft == 0 {
-		// Warm pool exhausted: this launch also initializes its
-		// execution environment (container, Python, framework).
-		loadStart = s.now + engine.RuntimeInitDuration
-		intervals = append(intervals, obs.Interval{
-			Phase: engine.StageRuntimeInit, Start: s.now, End: loadStart})
-	} else if node.warmLeft > 0 {
-		node.warmLeft--
-	}
 	var fetch artifactcache.FetchResult
 	if node.cache == nil {
-		intervals, loadStart = s.readLocal(d, inst, intervals, loadStart)
+		intervals, loadStart = s.readLocal(d, inst, intervals)
 	} else if d.key != "" {
 		var err error
-		intervals, loadStart, fetch, err = s.fetchCached(d, inst, node, intervals, loadStart)
+		intervals, loadStart, fetch, err = s.fetchCached(d, inst, node, intervals)
 		if err != nil {
 			return false, err
 		}
@@ -771,14 +762,15 @@ func (s *simulation) launchOne(di int) (bool, error) {
 	return true, nil
 }
 
-// readLocal charges a cacheless node's artifact read, which starts once
-// runtime init is done (at). Only fault injection makes it visible: the
-// profile's restore stage already includes one clean read, so a launch
-// without an injector adds nothing. Under a plan the read may be
-// retried, or the restore abandoned for the vanilla stages; the wasted
-// time lands before loading starts. It returns the extended intervals
-// and the instant loading starts.
-func (s *simulation) readLocal(d *depState, inst *instState, intervals []obs.Interval, at time.Duration) ([]obs.Interval, time.Duration) {
+// readLocal charges a cacheless node's artifact read, which starts at
+// launch. Only fault injection makes it visible: the profile's restore
+// stage already includes one clean read, so a launch without an
+// injector adds nothing. Under a plan the read may be retried, or the
+// restore abandoned for the vanilla stages; the wasted time lands
+// before loading starts. It returns the extended intervals and the
+// instant loading starts.
+func (s *simulation) readLocal(d *depState, inst *instState, intervals []obs.Interval) ([]obs.Interval, time.Duration) {
+	at := s.now
 	if d.fallback == nil {
 		return intervals, at
 	}
@@ -834,15 +826,14 @@ func (s *simulation) rollLaunchFaults(d *depState) (time.Duration, string) {
 	return delay, ""
 }
 
-// fetchCached charges a cached node's artifact fetch, overlapped with
-// runtime init: the node daemon pulls the artifact (and its shared
-// template) while the container boots, and loading begins when both
-// are done (loadStart is when runtime init ends). Injected faults at
-// the registry, the template and the fetched bytes degrade the launch
-// to the vanilla stages. It returns the extended intervals, the instant
-// loading starts and the fetch outcome; an error means a fetch failure
-// the launch cannot degrade from.
-func (s *simulation) fetchCached(d *depState, inst *instState, node *nodeState, intervals []obs.Interval, loadStart time.Duration) ([]obs.Interval, time.Duration, artifactcache.FetchResult, error) {
+// fetchCached charges a cached node's artifact fetch: the node daemon
+// pulls the artifact (and its shared template) at launch, and loading
+// begins once both have landed. Injected faults at the registry, the
+// template and the fetched bytes degrade the launch to the vanilla
+// stages. It returns the extended intervals, the instant loading starts
+// and the fetch outcome; an error means a fetch failure the launch
+// cannot degrade from.
+func (s *simulation) fetchCached(d *depState, inst *instState, node *nodeState, intervals []obs.Interval) ([]obs.Interval, time.Duration, artifactcache.FetchResult, error) {
 	var fetch artifactcache.FetchResult
 	if s.inj != nil && d.tmplKey != "" && d.fallback != nil &&
 		s.inj.Inject(faults.SiteTemplateMissing, d.tmplKey) {
@@ -853,7 +844,7 @@ func (s *simulation) fetchCached(d *depState, inst *instState, node *nodeState, 
 		intervals = append(intervals, obs.Interval{
 			Phase: engine.StageRestoreFailed, Start: s.now, End: known})
 		s.degradeLaunch(d, inst, faults.ReasonTemplateMissing)
-		return intervals, max(loadStart, known), fetch, nil
+		return intervals, known, fetch, nil
 	}
 	fetch, err := node.cache.FetchPair(s.now, d.key, d.tmplKey)
 	if err != nil {
@@ -864,16 +855,16 @@ func (s *simulation) fetchCached(d *depState, inst *instState, node *nodeState, 
 		// the artifact registry.
 		reason, degradable := faults.DegradeReason(err)
 		if !degradable || d.fallback == nil {
-			return intervals, loadStart, fetch, err
+			return intervals, s.now, fetch, err
 		}
 		intervals = append(intervals, obs.Interval{
 			Phase: engine.StageRestoreFailed, Start: s.now, End: fetch.Ready})
 		s.degradeLaunch(d, inst, reason)
-		return intervals, max(loadStart, fetch.Ready), fetch, nil
+		return intervals, fetch.Ready, fetch, nil
 	}
 	intervals = append(intervals, obs.Interval{
 		Phase: engine.StageArtifactFetch, Start: s.now, End: fetch.Ready})
-	loadStart = max(loadStart, fetch.Ready)
+	loadStart := fetch.Ready
 	if s.inj == nil || d.fallback == nil {
 		return intervals, loadStart, fetch, nil
 	}

@@ -7,7 +7,7 @@
 //
 // The clock is single-goroutine by design: simulated work advances it
 // explicitly. Logical parallelism (for example vLLM+ASYNC's overlapped
-// weight loading, or Medusa's warm-up running next to disk I/O) is
+// weight loading, or Medusa's warm-up running next to disk I/O) can be
 // expressed with Parallel, which forks branch clocks from the current
 // instant and joins them at the latest finish time.
 package vclock

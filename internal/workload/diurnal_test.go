@@ -20,10 +20,19 @@ func diurnalFixture() DiurnalConfig {
 	}
 }
 
+// collectDiurnal drains a fresh diurnal source into a slice.
+func collectDiurnal(cfg DiurnalConfig) ([]Request, error) {
+	src, err := NewDiurnal(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Collect(src)
+}
+
 // TestDiurnalArrivalsNondecreasing: thinning a homogeneous candidate
 // stream must preserve arrival order and emission-order IDs.
 func TestDiurnalArrivalsNondecreasing(t *testing.T) {
-	reqs, err := GenerateDiurnal(diurnalFixture())
+	reqs, err := collectDiurnal(diurnalFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +60,7 @@ func TestDiurnalArrivalsNondecreasing(t *testing.T) {
 // not depend on scheduler parallelism.
 func TestDiurnalStreamingMatchesGenerate(t *testing.T) {
 	cfg := diurnalFixture()
-	fromGen, err := GenerateDiurnal(cfg)
+	fromGen, err := collectDiurnal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +81,7 @@ func TestDiurnalStreamingMatchesGenerate(t *testing.T) {
 		}
 	}
 	prev := runtime.GOMAXPROCS(1)
-	again, err := GenerateDiurnal(cfg)
+	again, err := collectDiurnal(cfg)
 	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -116,11 +125,11 @@ func TestBurstySourceDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // diverges.
 func TestDiurnalSeedSensitivity(t *testing.T) {
 	cfg := diurnalFixture()
-	a, err := GenerateDiurnal(cfg)
+	a, err := collectDiurnal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := GenerateDiurnal(cfg)
+	b, err := collectDiurnal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +142,7 @@ func TestDiurnalSeedSensitivity(t *testing.T) {
 		}
 	}
 	cfg.Seed++
-	c, err := GenerateDiurnal(cfg)
+	c, err := collectDiurnal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestDiurnalEnvelopeShapesRate(t *testing.T) {
 		Phase:     math.Pi / 2, // cos envelope: peak at t=0, trough at t=Period/2
 		Duration:  10 * period,
 	}
-	reqs, err := GenerateDiurnal(cfg)
+	reqs, err := collectDiurnal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +202,11 @@ func TestDiurnalBurstsRaiseVolume(t *testing.T) {
 	calm := diurnalFixture()
 	calm.BurstFactor = 1
 	calm.MeanBurst, calm.MeanCalm = 0, 0
-	base, err := GenerateDiurnal(calm)
+	base, err := collectDiurnal(calm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bursty, err := GenerateDiurnal(diurnalFixture())
+	bursty, err := collectDiurnal(diurnalFixture())
 	if err != nil {
 		t.Fatal(err)
 	}
