@@ -8,9 +8,9 @@ all: build test
 
 # One-stop verification: compile, vet, lint the determinism invariants,
 # check the documentation's relative links, full tests, race-detect
-# everything, the batched-execution and fleet-control-plane smokes, then
-# regenerate results/ and require byte identity.
-check: build vet lint linkcheck test test-race batch-smoke fleet-smoke results-check
+# everything, the batched-execution and fleet-control-plane smokes, run
+# the examples, then regenerate results/ and require byte identity.
+check: build vet lint linkcheck test test-race batch-smoke fleet-smoke examples results-check
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,7 @@ results-check:
 	diff -r $(addprefix -x ,$(RESULTS_HANDMADE)) "$$tmp" results && \
 	echo "results-check: every exhibit matches results/ byte for byte"
 
+# Run every example end to end (go build ./... only compiles them).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/graph-materialize

@@ -15,15 +15,12 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/medusa-repro/medusa/internal/cliconfig"
 	"github.com/medusa-repro/medusa/internal/experiments"
 	"github.com/medusa-repro/medusa/internal/obs"
 	"github.com/medusa-repro/medusa/internal/prof"
 )
 
 func main() {
-	bv := cliconfig.RegisterBatch(flag.CommandLine)
-	fv := cliconfig.RegisterFleet(flag.CommandLine)
 	exp := flag.String("exp", "", "experiment id to run (see -list)")
 	all := flag.Bool("all", false, "run every registered experiment")
 	list := flag.Bool("list", false, "list experiment ids")
@@ -53,12 +50,6 @@ func main() {
 		}
 	}()
 	ctx := experiments.NewContext()
-	ctx.Batch = bv.BatchParams()
-	ctx.Fleet = experiments.FleetOverrides{
-		Autoscale: fv.Autoscale,
-		Router:    fv.Router,
-		SLO:       fv.SLO(),
-	}
 	if *tracePath != "" {
 		ctx.Tracer = obs.NewTracer()
 	}

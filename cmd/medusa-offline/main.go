@@ -8,13 +8,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/medusa"
 	"github.com/medusa-repro/medusa/internal/model"
+	"github.com/medusa-repro/medusa/internal/replicate"
 	"github.com/medusa-repro/medusa/internal/storage"
 	"github.com/medusa-repro/medusa/internal/vclock"
 )
@@ -37,14 +36,6 @@ func main() {
 		configs = []model.Config{cfg}
 	}
 
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(configs) {
-		workers = len(configs)
-	}
-
 	// Fan the per-model offline phases out across the pool (seeds are
 	// fixed per model index, so results match a sequential run), then
 	// report in zoo order.
@@ -57,19 +48,18 @@ func main() {
 		bytes uint64
 	}
 	store := storage.NewStore(storage.DefaultArray())
-	outs := make([]outcome, len(configs))
-	run := func(i int) {
+	// An outcome carries its own error, so Run cannot fail.
+	outs, _ := replicate.Run(len(configs), *parallel, func(i int) (outcome, error) {
 		cfg := configs[i]
 		clock := vclock.New()
 		art, report, err := engine.RunOffline(engine.OfflineOptions{
 			Model: cfg, Store: store, Seed: int64(1000 + i), Clock: clock,
 		})
 		if err != nil {
-			outs[i] = outcome{err: err, name: cfg.Name}
-			return
+			return outcome{err: err, name: cfg.Name}, nil
 		}
 		stats := art.Stats()
-		outs[i] = outcome{
+		return outcome{
 			name: cfg.Name,
 			art:  art, bytes: report.ArtifactBytes,
 			line: fmt.Sprintf("%-14s %12.2f %12.2f %12.2f %10d %8.2f\n",
@@ -81,24 +71,8 @@ func main() {
 				float64(report.ArtifactBytes)/(1<<20)),
 			stats: fmt.Sprintf("    params: %d pointers, %d constants; %d kernels; %d permanent buffers; stored at %q\n",
 				stats.Pointers, stats.Constants, len(art.Kernels), len(art.Permanent), report.ArtifactKey),
-		}
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				run(i)
-			}
-		}()
-	}
-	for i := range configs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+		}, nil
+	})
 
 	fmt.Printf("%-14s %12s %12s %12s %10s %8s\n",
 		"model", "capturing(s)", "analysis(s)", "total(s)", "nodes", "MB")

@@ -92,54 +92,12 @@ func TestRegisterParsesFlags(t *testing.T) {
 	}
 }
 
-// TestRegisterBatchSubset checks the medusa-bench surface: only the
-// batching knobs, with the same names and defaults as the full set.
-func TestRegisterBatchSubset(t *testing.T) {
-	fs := flag.NewFlagSet("medusa-bench", flag.ContinueOnError)
-	v := RegisterBatch(fs)
-	var names []string
-	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	want := []string{"batch-tokens", "chunked-prefill", "kv-blocks"}
-	if !reflect.DeepEqual(names, want) {
-		t.Fatalf("RegisterBatch flags = %v, want %v", names, want)
-	}
-	if err := fs.Parse([]string{"-batch-tokens", "4096", "-kv-blocks", "512"}); err != nil {
-		t.Fatal(err)
-	}
-	p := v.BatchParams()
-	if p.BatchTokens != 4096 || p.KVBlocks != 512 || p.ChunkedPrefill {
-		t.Errorf("BatchParams() = %+v, want tokens=4096 blocks=512", p)
-	}
-}
-
-// TestFlagNamesDisjointFromBatch guards the "declared exactly once"
-// property: Register must not double-declare a batch knob (flag
-// panics on duplicate registration, so Register succeeding IS the
-// test) and every batch knob must exist in the full surface.
-func TestFlagNamesDisjointFromBatch(t *testing.T) {
-	full := flag.NewFlagSet("full", flag.ContinueOnError)
-	Register(full)
-	batch := flag.NewFlagSet("batch", flag.ContinueOnError)
-	RegisterBatch(batch)
-	batch.VisitAll(func(f *flag.Flag) {
-		if full.Lookup(f.Name) == nil {
-			t.Errorf("batch flag -%s missing from the full surface", f.Name)
-		}
-	})
-}
-
-// TestRegisterFleetSubset checks the medusa-bench fleet surface: only
-// the control-plane knobs, with the same names and defaults as the
-// full set.
-func TestRegisterFleetSubset(t *testing.T) {
-	fs := flag.NewFlagSet("medusa-bench", flag.ContinueOnError)
-	v := RegisterFleet(fs)
-	var names []string
-	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	want := []string{"autoscale", "diurnal", "router", "slo-tpot", "slo-ttft"}
-	if !reflect.DeepEqual(names, want) {
-		t.Fatalf("RegisterFleet flags = %v, want %v", names, want)
-	}
+// TestRegisterParsesFleetFlags checks the fleet control-plane knobs
+// parse into the SLO, diurnal period and policies the cluster mode
+// consumes.
+func TestRegisterParsesFleetFlags(t *testing.T) {
+	fs := flag.NewFlagSet("medusa-simulate", flag.ContinueOnError)
+	v := Register(fs)
 	if err := fs.Parse([]string{"-slo-ttft", "500ms", "-slo-tpot", "80ms",
 		"-autoscale", "predictive", "-router", "score", "-diurnal", "2m"}); err != nil {
 		t.Fatal(err)
@@ -164,20 +122,6 @@ func TestRegisterFleetSubset(t *testing.T) {
 	if route == nil || route.Name() != "score" {
 		t.Errorf("RouterPolicy() = %v, want score", route)
 	}
-}
-
-// TestFlagNamesDisjointFromFleet mirrors the batch-subset guard for
-// the fleet knobs.
-func TestFlagNamesDisjointFromFleet(t *testing.T) {
-	full := flag.NewFlagSet("full", flag.ContinueOnError)
-	Register(full)
-	fleet := flag.NewFlagSet("fleet", flag.ContinueOnError)
-	RegisterFleet(fleet)
-	fleet.VisitAll(func(f *flag.Flag) {
-		if full.Lookup(f.Name) == nil {
-			t.Errorf("fleet flag -%s missing from the full surface", f.Name)
-		}
-	})
 }
 
 // TestFleetPolicyDefaultsAreLegacy: the default flag values must

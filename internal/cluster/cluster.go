@@ -245,6 +245,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		dcfg := &dep.Config
 		dcfg.RetainPerRequest = cfg.RetainPerRequest
+		dcfg.Tracer = cfg.Tracer
 		// The node caches charge each launch's artifact fetch explicitly
 		// (tier- and dedup-dependent), so the profile must not also bake
 		// the storage read into the restore stage. Tensor-parallel
@@ -314,28 +315,6 @@ func Run(cfg Config) (*Result, error) {
 		out.PerNode = append(out.PerNode, NodeResult{ID: i, Launches: n.Launches, Crashed: n.Crashed, Cache: st})
 		out.Cache.Add(st)
 		out.NodeSeconds += n.Up.Seconds()
-	}
-	return out, nil
-}
-
-// RunPolicySweep runs the same workload once per eviction policy,
-// regenerating deployments through mkDeps so each run starts from a
-// fresh trace and profile (runs must not share mutable state).
-func RunPolicySweep(base Config, mkDeps func() ([]serverless.Deployment, error)) ([]*Result, error) {
-	var out []*Result
-	for _, kind := range artifactcache.PolicyKinds() {
-		deps, err := mkDeps()
-		if err != nil {
-			return nil, err
-		}
-		cfg := base
-		cfg.Cache.Policy = kind
-		cfg.Deployments = deps
-		res, err := Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: policy %v: %w", kind, err)
-		}
-		out = append(out, res)
 	}
 	return out, nil
 }

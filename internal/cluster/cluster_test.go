@@ -227,6 +227,31 @@ func TestClusterDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunTracesDeployments checks Config.Tracer reaches the
+// deployments, not only the node caches: a traced vLLM fleet run must
+// record the event loop's spans on its instance tracks.
+func TestRunTracesDeployments(t *testing.T) {
+	cfg := churnConfig(artifactcache.PolicyLRU)
+	tr := obsTracer()
+	cfg.Tracer = tr.tracer
+	dcfg := medusaDeployment(t, "Qwen1.5-0.5B", 1)
+	dcfg.Strategy = engine.StrategyVLLM
+	dcfg.Cache = serverless.CacheSpec{}
+	cfg.Deployments = []serverless.Deployment{{Name: "a", Config: dcfg, Requests: genTrace(t, 21, 2, 10)}}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var inst []string
+	for _, track := range tr.tracer.Tracks() {
+		if strings.HasPrefix(track, "a/") && strings.Contains(track, "/inst-") {
+			inst = append(inst, track)
+		}
+	}
+	if len(inst) == 0 {
+		t.Fatalf("no span on an a/…/inst-N track; tracks: %v", tr.tracer.Tracks())
+	}
+}
+
 // zipfWorkload splits one Poisson trace across the first n fixture
 // models with Zipf popularity (rank 0 = smallest artifact).
 func zipfWorkload(t testing.TB, n int, idle time.Duration, traceSeed int64, rps float64, seconds int) []serverless.Deployment {
@@ -278,19 +303,22 @@ func TestLocalityImprovesHitRate(t *testing.T) {
 // multi-model workload with cache churn, the cost-aware policy's
 // cluster hit rate must beat LRU's.
 func TestCostAwareBeatsLRUOnZipf(t *testing.T) {
-	mkDeps := func() ([]serverless.Deployment, error) {
-		return zipfWorkload(t, len(fixtureModels), 150*time.Millisecond, 41, 4, 40), nil
-	}
-	base := churnConfig(artifactcache.PolicyLRU)
-	// Tight tiers: SSD holds two small artifacts or one large one, so
-	// the eviction policy decides which models stay local while the
-	// Zipf tail streams one-shot artifacts through.
-	base.Cache.RAMBytes = 2 << 20
-	base.Cache.SSDBytes = 6 << 20
-	base.LocalityWeight = 0.8
-	results, err := RunPolicySweep(base, mkDeps)
-	if err != nil {
-		t.Fatal(err)
+	// Every policy replays the same seeded workload on fresh deployments.
+	var results []*Result
+	for _, kind := range artifactcache.PolicyKinds() {
+		cfg := churnConfig(kind)
+		// Tight tiers: SSD holds two small artifacts or one large one,
+		// so the eviction policy decides which models stay local while
+		// the Zipf tail streams one-shot artifacts through.
+		cfg.Cache.RAMBytes = 2 << 20
+		cfg.Cache.SSDBytes = 6 << 20
+		cfg.LocalityWeight = 0.8
+		cfg.Deployments = zipfWorkload(t, len(fixtureModels), 150*time.Millisecond, 41, 4, 40)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("policy %v: %v", kind, err)
+		}
+		results = append(results, res)
 	}
 	byPolicy := map[artifactcache.PolicyKind]*Result{}
 	for i, kind := range artifactcache.PolicyKinds() {

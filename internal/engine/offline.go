@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/cuda"
 	"github.com/medusa-repro/medusa/internal/medusa"
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/obs"
+	"github.com/medusa-repro/medusa/internal/replicate"
 	"github.com/medusa-repro/medusa/internal/storage"
 	"github.com/medusa-repro/medusa/internal/vclock"
 )
@@ -227,47 +227,39 @@ func validateArtifact(offline *Instance, art *medusa.Artifact, opts OfflineOptio
 			mismatched []int
 			err        error
 		}
-		results := make([]shardResult, workers)
-		var wg sync.WaitGroup
-		for wi := 0; wi < workers; wi++ {
-			var shard []int
-			for bi := wi; bi < len(batches); bi += workers {
-				shard = append(shard, batches[bi])
+		// Job wi validates every workers-th batch from wi. A shard's
+		// error rides in its shardResult, so Run cannot fail.
+		results, _ := replicate.Run(workers, workers, func(wi int) (res shardResult, _ error) {
+			fresh, err := ColdStart(Options{
+				Model:        opts.Model,
+				Strategy:     StrategyMedusa,
+				Seed:         (opts.Seed + round*int64(workers) + int64(wi)) ^ 0x5a5a5a,
+				Store:        opts.Store,
+				Runtime:      opts.Runtime,
+				CaptureSizes: opts.CaptureSizes,
+				Artifact:     a,
+			})
+			if err != nil {
+				res.err = err
+				return res, nil
 			}
-			wg.Add(1)
-			go func(wi int, shard []int) {
-				defer wg.Done()
-				res := &results[wi]
-				fresh, err := ColdStart(Options{
-					Model:        opts.Model,
-					Strategy:     StrategyMedusa,
-					Seed:         (opts.Seed + round*int64(workers) + int64(wi)) ^ 0x5a5a5a,
-					Store:        opts.Store,
-					Runtime:      opts.Runtime,
-					CaptureSizes: opts.CaptureSizes,
-					Artifact:     a,
-				})
+			<-refsReady
+			if refsErr != nil {
+				return res, nil // surfaced below
+			}
+			for bi := wi; bi < len(batches); bi += workers {
+				b := batches[bi]
+				out, err := fresh.RunValidationForward(b, validationStep)
 				if err != nil {
 					res.err = err
-					return
+					return res, nil
 				}
-				<-refsReady
-				if refsErr != nil {
-					return // surfaced after wg.Wait
+				if !bytes.Equal(out, refs[b]) {
+					res.mismatched = append(res.mismatched, b)
 				}
-				for _, b := range shard {
-					out, err := fresh.RunValidationForward(b, validationStep)
-					if err != nil {
-						res.err = err
-						return
-					}
-					if !bytes.Equal(out, refs[b]) {
-						res.mismatched = append(res.mismatched, b)
-					}
-				}
-			}(wi, shard)
-		}
-		wg.Wait()
+			}
+			return res, nil
+		})
 		<-refsReady
 		if refsErr != nil {
 			return nil, refsErr

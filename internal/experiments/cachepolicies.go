@@ -6,9 +6,6 @@ import (
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
 	"github.com/medusa-repro/medusa/internal/cluster"
-	"github.com/medusa-repro/medusa/internal/engine"
-	"github.com/medusa-repro/medusa/internal/metrics"
-	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/workload"
 )
@@ -32,79 +29,25 @@ var cachePolicyModels = []string{
 // the cache tiers are sized so artifacts contend for space. The table
 // compares hit rate, cold-start latency and fleet TTFT per policy.
 func runExtCachePolicies(c *Context) (*Report, error) {
-	cfgs := make([]model.Config, 0, len(cachePolicyModels))
-	for _, name := range cachePolicyModels {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	if err := c.PrefetchArtifacts(cfgs, 0); err != nil {
-		return nil, err
-	}
-
-	mkDeps := func() ([]serverless.Deployment, error) {
-		deps := make([]serverless.Deployment, 0, len(cfgs))
-		for i, cfg := range cfgs {
-			art, size, _, err := c.Artifact(cfg)
-			if err != nil {
-				return nil, err
-			}
-			deps = append(deps, serverless.Deployment{
-				Name: cfg.Name,
-				Config: serverless.Config{
-					Model: cfg, Strategy: engine.StrategyMedusa,
-					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
-					Seed:     int64(i + 1),
-					Profiles: c.profileCache(),
-					// churn: idle instances die between bursts
-					Scheduler: serverless.Scheduler{IdleTimeout: 150 * time.Millisecond},
-				},
-			})
-		}
-		trace, err := workload.Generate(workload.TraceConfig{
-			Seed: 41, RPS: 4, Duration: 40 * time.Second,
-			MeanOutput: 16, MaxOutput: 32,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return cluster.ZipfDeployments(deps, trace, 43, 1.2)
-	}
-
-	// Tight tiers: SSD holds two small artifacts or one large one, so
-	// the eviction policy decides which models stay local while the
-	// Zipf tail streams one-shot artifacts through.
-	params := artifactcache.DefaultParams()
-	params.RAMBytes = 2 << 20
-	params.SSDBytes = 6 << 20
-	base := cluster.Config{
-		Nodes: 2, GPUsPerNode: 4,
-		Cache:          params,
-		LocalityWeight: 0.8,
-		Seed:           7,
-	}
-	results, err := cluster.RunPolicySweep(base, mkDeps)
+	// churn: idle instances die between bursts
+	deps, err := c.medusaDeployments(cachePolicyModels, serverless.Scheduler{IdleTimeout: 150 * time.Millisecond})
 	if err != nil {
 		return nil, err
 	}
-
 	r := &Report{
 		ID:    "ext-cache-policies",
 		Title: "Extension: tiered artifact cache eviction policies (2 nodes, 10 models, Zipf popularity)",
 		Header: []string{"policy", "hit rate", "ram/ssd/miss", "coalesced",
 			"cold start p50(s)", "cold start p99(s)", "TTFT p99(s)", "fetched MB"},
 	}
-	kinds := artifactcache.PolicyKinds()
-	for i, res := range results {
-		cs, ttft := &metrics.Sample{}, &metrics.Sample{}
-		for _, d := range res.PerDeployment {
-			cs.AddAll(d.ColdStart)
-			ttft.AddAll(d.TTFT)
+	for _, kind := range artifactcache.PolicyKinds() {
+		res, err := runChurnFleet(deps, kind)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: policy %v: %w", kind, err)
 		}
+		cs, ttft := fleetSamples(res)
 		st := res.Cache
-		r.AddRow(kinds[i].String(),
+		r.AddRow(kind.String(),
 			pct(st.HitRate()),
 			fmt.Sprintf("%d/%d/%d", st.RAMHits, st.SSDHits, st.Misses),
 			fmt.Sprintf("%d", st.Coalesced),
@@ -113,4 +56,36 @@ func runExtCachePolicies(c *Context) (*Report, error) {
 	}
 	r.AddNote("same seeded trace per policy; popularity rank maps to ascending artifact size, so cost-aware (GDSF) eviction retains the hot small artifacts LRU's recency churns out")
 	return r, nil
+}
+
+// runChurnFleet serves the cache-policy workload on deps: one seeded
+// Poisson trace Zipf-split across the deployments, on a two-node fleet
+// whose tiers are tight — SSD holds two small artifacts or one large
+// one, so the eviction policy decides which models stay local while the
+// Zipf tail streams one-shot artifacts through. ext-template serves the
+// same workload. Each call splits a fresh copy of deps, so runs share no
+// mutable state.
+func runChurnFleet(deps []serverless.Deployment, policy artifactcache.PolicyKind) (*cluster.Result, error) {
+	trace, err := workload.Generate(workload.TraceConfig{
+		Seed: 41, RPS: 4, Duration: 40 * time.Second,
+		MeanOutput: 16, MaxOutput: 32,
+	})
+	if err != nil {
+		return nil, err
+	}
+	split, err := cluster.ZipfDeployments(deps, trace, 43, 1.2)
+	if err != nil {
+		return nil, err
+	}
+	params := artifactcache.DefaultParams()
+	params.RAMBytes = 2 << 20
+	params.SSDBytes = 6 << 20
+	params.Policy = policy
+	return cluster.Run(cluster.Config{
+		Nodes: 2, GPUsPerNode: 4,
+		Cache:          params,
+		LocalityWeight: 0.8,
+		Seed:           7,
+		Deployments:    split,
+	})
 }

@@ -302,7 +302,7 @@ func runFigure9(c *Context) (*Report, error) {
 	// The per-model offline phases are independent: fan them out before
 	// tabulating (the seeds, and hence the artifacts, match a sequential
 	// run).
-	if err := c.PrefetchArtifacts(model.Zoo(), 0); err != nil {
+	if err := c.PrefetchArtifacts(model.Zoo()); err != nil {
 		return nil, err
 	}
 	var capSum, totalSum time.Duration

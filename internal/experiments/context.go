@@ -2,17 +2,18 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"github.com/medusa-repro/medusa/internal/cluster"
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/medusa"
+	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/obs"
-	"github.com/medusa-repro/medusa/internal/sched"
+	"github.com/medusa-repro/medusa/internal/replicate"
 	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/storage"
 	"github.com/medusa-repro/medusa/internal/vclock"
@@ -29,18 +30,6 @@ type Context struct {
 	// trace because the exporter orders spans by content, not by
 	// emission order.
 	Tracer *obs.Tracer
-	// Batch, when enabled, overrides the batching parameters of
-	// experiments that serve with continuous batching (ext-batching
-	// runs a single cell with these knobs instead of its built-in
-	// sweep). medusa-bench populates it from the -batch-tokens /
-	// -kv-blocks / -chunked-prefill flags shared with medusa-simulate.
-	Batch sched.Params
-	// Fleet, when enabled, pins the ext-fleet experiment to a single
-	// control-plane cell (that autoscaler × router × SLO) instead of
-	// its built-in sweep. medusa-bench populates it from the
-	// -autoscale / -router / -slo-ttft / -slo-tpot flags shared with
-	// medusa-simulate.
-	Fleet FleetOverrides
 
 	mu        sync.Mutex
 	artifacts map[string]*artifactEntry
@@ -51,25 +40,6 @@ type Context struct {
 	// profiles shares cold-start profiles across the simulator runs of
 	// the exhibit in progress; Run scopes one cache to each exhibit.
 	profiles *serverless.ProfileCache
-}
-
-// FleetOverrides carries the command-line control-plane knobs into the
-// ext-fleet experiment. The policy fields hold the names accepted by
-// autoscale.Parse and router.Parse — names rather than constructed
-// policies, because a stateful policy must be built fresh for every
-// cluster.Run and the sweep runs many.
-type FleetOverrides struct {
-	Autoscale string
-	Router    string
-	SLO       serverless.SLO
-}
-
-// Enabled reports whether any knob deviates from the legacy defaults
-// (reactive autoscaling, launch-order dispatch, no SLO).
-func (f FleetOverrides) Enabled() bool {
-	return (f.Autoscale != "" && f.Autoscale != "reactive") ||
-		(f.Router != "" && f.Router != "fifo") ||
-		!f.SLO.Zero()
 }
 
 type artifactEntry struct {
@@ -104,7 +74,7 @@ func (c *Context) nextSeedLocked() int64 {
 
 // Artifact runs (or reuses) the offline phase for a model.
 func (c *Context) Artifact(cfg model.Config) (*medusa.Artifact, uint64, *engine.OfflineReport, error) {
-	if err := c.PrefetchArtifacts([]model.Config{cfg}, 1); err != nil {
+	if err := c.PrefetchArtifacts([]model.Config{cfg}); err != nil {
 		return nil, 0, nil, err
 	}
 	c.mu.Lock()
@@ -119,8 +89,8 @@ func (c *Context) Artifact(cfg model.Config) (*medusa.Artifact, uint64, *engine.
 // sweeps (Figure 9, Table 1) fan it out. Seeds are assigned in
 // configuration order before the fan-out, so the produced artifacts
 // are bit-identical to a sequential run of Artifact over the same
-// configs. workers <= 0 uses GOMAXPROCS.
-func (c *Context) PrefetchArtifacts(cfgs []model.Config, workers int) error {
+// configs.
+func (c *Context) PrefetchArtifacts(cfgs []model.Config) error {
 	type job struct {
 		cfg  model.Config
 		seed int64
@@ -139,14 +109,11 @@ func (c *Context) PrefetchArtifacts(cfgs []model.Config, workers int) error {
 	if len(jobs) == 0 {
 		return nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	// Jobs keep their errors in errs rather than returning them, so Run
+	// cannot fail and the first failure in configuration order surfaces
+	// unwrapped.
 	errs := make([]error, len(jobs))
-	run := func(ji int) {
+	replicate.Run(len(jobs), 0, func(ji int) (struct{}, error) {
 		j := jobs[ji]
 		art, report, err := engine.RunOffline(engine.OfflineOptions{
 			Model:  j.cfg,
@@ -157,40 +124,68 @@ func (c *Context) PrefetchArtifacts(cfgs []model.Config, workers int) error {
 		})
 		if err != nil {
 			errs[ji] = fmt.Errorf("offline phase for %s: %w", j.cfg.Name, err)
-			return
+			return struct{}{}, nil
 		}
 		c.mu.Lock()
 		c.artifacts[j.cfg.Name] = &artifactEntry{art: art, bytes: report.ArtifactBytes, report: report}
 		c.mu.Unlock()
-	}
-	if workers > 1 {
-		ch := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ji := range ch {
-					run(ji)
-				}
-			}()
-		}
-		for ji := range jobs {
-			ch <- ji
-		}
-		close(ch)
-		wg.Wait()
-	} else {
-		for ji := range jobs {
-			run(ji)
-		}
-	}
+		return struct{}{}, nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// medusaDeployments resolves the named zoo models, runs the offline
+// phase for any not yet cached, and returns one Medusa deployment per
+// model in the order given: seed i+1, the context's store, the model's
+// artifact and its encoded size, the running exhibit's profile cache,
+// and the given scheduler. Callers set Requests or Source, and any
+// per-exhibit override, on the returned deployments.
+func (c *Context) medusaDeployments(names []string, sc serverless.Scheduler) ([]serverless.Deployment, error) {
+	cfgs := make([]model.Config, len(names))
+	for i, name := range names {
+		cfg, err := model.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		cfgs[i] = cfg
+	}
+	if err := c.PrefetchArtifacts(cfgs); err != nil {
+		return nil, err
+	}
+	deps := make([]serverless.Deployment, len(cfgs))
+	for i, cfg := range cfgs {
+		art, size, _, err := c.Artifact(cfg)
+		if err != nil {
+			return nil, err
+		}
+		deps[i] = serverless.Deployment{
+			Name: cfg.Name,
+			Config: serverless.Config{
+				Model: cfg, Strategy: engine.StrategyMedusa,
+				Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
+				Seed:      int64(i + 1),
+				Profiles:  c.profileCache(),
+				Scheduler: sc,
+			},
+		}
+	}
+	return deps, nil
+}
+
+// fleetSamples merges a fleet run's per-deployment cold-start and TTFT
+// samples in deployment order, which keeps the merge deterministic.
+func fleetSamples(res *cluster.Result) (coldStart, ttft *metrics.Sample) {
+	coldStart, ttft = &metrics.Sample{}, &metrics.Sample{}
+	for _, d := range res.PerDeployment {
+		coldStart.AddAll(d.ColdStart)
+		ttft.AddAll(d.TTFT)
+	}
+	return coldStart, ttft
 }
 
 // ColdStart launches an instance with the strategy, resolving the

@@ -7,10 +7,7 @@ import (
 	"github.com/medusa-repro/medusa/internal/artifactcache"
 	"github.com/medusa-repro/medusa/internal/autoscale"
 	"github.com/medusa-repro/medusa/internal/cluster"
-	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/faults"
-	"github.com/medusa-repro/medusa/internal/metrics"
-	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/router"
 	"github.com/medusa-repro/medusa/internal/sched"
 	"github.com/medusa-repro/medusa/internal/serverless"
@@ -26,8 +23,8 @@ func init() {
 // diurnal fleet tilts traffic toward the first.
 var fleetModels = []string{"Qwen1.5-4B", "Llama2-7B"}
 
-// fleetSLO is the default per-request deadline the sweep measures
-// attainment against (overridable with -slo-ttft / -slo-tpot).
+// fleetSLO is the per-request deadline the sweep measures attainment
+// against.
 var fleetSLO = serverless.SLO{TTFT: time.Second, TPOT: 250 * time.Millisecond}
 
 // runExtFleet sweeps the fleet control plane — autoscaling policy ×
@@ -40,47 +37,21 @@ var fleetSLO = serverless.SLO{TTFT: time.Second, TPOT: 250 * time.Millisecond}
 // headroom, artifact locality, and predicted TTFT instead of walking
 // instances in launch order. SLO attainment and node-seconds are the
 // two axes of merit: a policy pair dominates when it meets more
-// deadlines without holding more capacity. With -autoscale / -router /
-// -slo-ttft set on the medusa-bench command line the built-in policy
-// grid is replaced by that single pair.
+// deadlines without holding more capacity. medusa-simulate -nodes 4
+// -diurnal 24s -autoscale … -router … runs one such cell.
 func runExtFleet(c *Context) (*Report, error) {
-	cfgs := make([]model.Config, 0, len(fleetModels))
-	for _, name := range fleetModels {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	if err := c.PrefetchArtifacts(cfgs, 0); err != nil {
-		return nil, err
-	}
-
 	type cell struct {
 		scaler string
 		route  string
 		skew   float64
 	}
-	skews := []float64{0, 1.5}
 	var cells []cell
-	if c.Fleet.Enabled() {
-		// The command line pinned the policies: run one cell per skew
-		// level instead of the built-in grid.
-		for _, sk := range skews {
-			cells = append(cells, cell{scaler: c.Fleet.Autoscale, route: c.Fleet.Router, skew: sk})
-		}
-	} else {
-		for _, sc := range []string{"reactive", "predictive"} {
-			for _, rt := range []string{"fifo", "score"} {
-				for _, sk := range skews {
-					cells = append(cells, cell{scaler: sc, route: rt, skew: sk})
-				}
+	for _, sc := range []string{"reactive", "predictive"} {
+		for _, rt := range []string{"fifo", "score"} {
+			for _, sk := range []float64{0, 1.5} {
+				cells = append(cells, cell{scaler: sc, route: rt, skew: sk})
 			}
 		}
-	}
-	slo := fleetSLO
-	if !c.Fleet.SLO.Zero() {
-		slo = c.Fleet.SLO
 	}
 
 	mkDeps := func(skew float64) ([]serverless.Deployment, error) {
@@ -92,36 +63,24 @@ func runExtFleet(c *Context) (*Report, error) {
 			BurstFactor: 2, MeanBurst: 3 * time.Second, MeanCalm: 10 * time.Second,
 			Duration:  60 * time.Second,
 			MaxPrompt: 512, MeanOutput: 64, MaxOutput: 128,
-		}, len(cfgs), skew)
+		}, len(fleetModels), skew)
 		if err != nil {
 			return nil, err
 		}
-		deps := make([]serverless.Deployment, 0, len(cfgs))
-		for i, cfg := range cfgs {
-			art, size, _, err := c.Artifact(cfg)
-			if err != nil {
-				return nil, err
-			}
-			deps = append(deps, serverless.Deployment{
-				Name:   cfg.Name,
-				Source: srcs[i],
-				Config: serverless.Config{
-					Model: cfg, Strategy: engine.StrategyMedusa,
-					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
-					Seed:     int64(i + 1),
-					Profiles: c.profileCache(),
-					Scheduler: serverless.Scheduler{
-						// A small per-instance target and a short idle
-						// timeout make the autoscaler the bottleneck:
-						// every diurnal trough drains capacity, so the
-						// next ramp pays cold starts unless the policy
-						// provisions ahead of it.
-						InstanceTarget: 2,
-						IdleTimeout:    2 * time.Second,
-						Batch:          sched.Params{BatchTokens: 512, KVBlocks: 512, ChunkedPrefill: true},
-					},
-				},
-			})
+		deps, err := c.medusaDeployments(fleetModels, serverless.Scheduler{
+			// A small per-instance target and a short idle timeout make
+			// the autoscaler the bottleneck: every diurnal trough drains
+			// capacity, so the next ramp pays cold starts unless the
+			// policy provisions ahead of it.
+			InstanceTarget: 2,
+			IdleTimeout:    2 * time.Second,
+			Batch:          sched.Params{BatchTokens: 512, KVBlocks: 512, ChunkedPrefill: true},
+		})
+		if err != nil {
+			return nil, err
+		}
+		for i := range deps {
+			deps[i].Source = srcs[i]
 		}
 		return deps, nil
 	}
@@ -196,17 +155,12 @@ func runExtFleet(c *Context) (*Report, error) {
 			Faults:         serverless.FaultSpec{Plan: &plan},
 			Autoscaler:     scaler,
 			Router:         route,
-			SLO:            slo,
+			SLO:            fleetSLO,
 		})
 		if err != nil {
 			return nil, err
 		}
-		ttft := &metrics.Sample{}
-		cold := 0
-		for _, d := range res.PerDeployment {
-			ttft.AddAll(d.TTFT)
-			cold += d.ColdStarts
-		}
+		_, ttft := fleetSamples(res)
 		r.AddRow(
 			cl.scaler, cl.route,
 			fmt.Sprintf("%.1f", cl.skew),
@@ -214,9 +168,9 @@ func runExtFleet(c *Context) (*Report, error) {
 			fmt.Sprintf("%.2f", res.SLOAttainment()*100),
 			fmt.Sprintf("%.1f", res.NodeSeconds),
 			secs(ttft.P99()),
-			fmt.Sprintf("%d", cold))
+			fmt.Sprintf("%d", res.TotalColdStarts))
 	}
-	r.AddNote("SLO: ttft ≤ %v, tpot ≤ %v; node-seconds integrate wall time each node holds ≥1 live instance, so a row dominates when attainment rises at equal or lower node-seconds", slo.TTFT, slo.TPOT)
+	r.AddNote("SLO: ttft ≤ %v, tpot ≤ %v; node-seconds integrate wall time each node holds ≥1 live instance, so a row dominates when attainment rises at equal or lower node-seconds", fleetSLO.TTFT, fleetSLO.TPOT)
 	r.AddNote("fixed seed: every cell is byte-identical across reruns and GOMAXPROCS — diff results/ext-fleet-sweep.txt against a fresh run to verify")
 	return r, nil
 }

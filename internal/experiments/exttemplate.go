@@ -2,17 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/artifactcache"
-	"github.com/medusa-repro/medusa/internal/cluster"
 	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/medusa"
-	"github.com/medusa-repro/medusa/internal/metrics"
 	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/vclock"
-	"github.com/medusa-repro/medusa/internal/workload"
 )
 
 func init() {
@@ -30,26 +28,16 @@ func init() {
 // it (see docs/ARTIFACT_FORMAT.md for why sibling graphs delta so
 // small).
 func runExtTemplate(c *Context) (*Report, error) {
-	cfgs := make([]model.Config, 0, len(cachePolicyModels))
-	for _, name := range cachePolicyModels {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	if err := c.PrefetchArtifacts(cfgs, 0); err != nil {
+	// churn: idle instances die between bursts
+	deps, err := c.medusaDeployments(cachePolicyModels, serverless.Scheduler{IdleTimeout: 150 * time.Millisecond})
+	if err != nil {
 		return nil, err
 	}
-
-	arts := make([]*medusa.Artifact, len(cfgs))
-	fullSizes := make([]uint64, len(cfgs))
-	for i, cfg := range cfgs {
-		art, size, _, err := c.Artifact(cfg)
-		if err != nil {
-			return nil, err
-		}
-		arts[i], fullSizes[i] = art, size
+	cfgs := make([]model.Config, len(deps))
+	arts := make([]*medusa.Artifact, len(deps))
+	fullSizes := make([]uint64, len(deps))
+	for i, d := range deps {
+		cfgs[i], arts[i], fullSizes[i] = d.Config.Model, d.Config.Cache.Artifact, d.Config.Cache.ArtifactBytes
 	}
 	templates, err := engine.BuildFleetTemplates(c.Store, vclock.New(), cfgs, arts)
 	if err != nil {
@@ -96,44 +84,6 @@ func runExtTemplate(c *Context) (*Report, error) {
 	// self-contained v2 artifacts, then template-factored — on the
 	// cache-policy fleet geometry (tight tiers, so smaller objects also
 	// mean fewer evictions, not just cheaper misses).
-	mkDeps := func(withTemplates bool) ([]serverless.Deployment, error) {
-		deps := make([]serverless.Deployment, 0, len(cfgs))
-		for i, cfg := range cfgs {
-			spec := serverless.CacheSpec{Artifact: arts[i], ArtifactBytes: fullSizes[i]}
-			if withTemplates {
-				spec.Template = templates[cfg.Family]
-				spec.ArtifactBytes = deltaSizes[i]
-			}
-			deps = append(deps, serverless.Deployment{
-				Name: cfg.Name,
-				Config: serverless.Config{
-					Model: cfg, Strategy: engine.StrategyMedusa,
-					Store: c.Store, Cache: spec,
-					Seed:      int64(i + 1),
-					Profiles:  c.profileCache(),
-					Scheduler: serverless.Scheduler{IdleTimeout: 150 * time.Millisecond},
-				},
-			})
-		}
-		trace, err := workload.Generate(workload.TraceConfig{
-			Seed: 41, RPS: 4, Duration: 40 * time.Second,
-			MeanOutput: 16, MaxOutput: 32,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return cluster.ZipfDeployments(deps, trace, 43, 1.2)
-	}
-	params := artifactcache.DefaultParams()
-	params.RAMBytes = 2 << 20
-	params.SSDBytes = 6 << 20
-	base := cluster.Config{
-		Nodes: 2, GPUsPerNode: 4,
-		Cache:          params,
-		LocalityWeight: 0.8,
-		Seed:           7,
-	}
-
 	r2 := &Report{
 		ID:    "ext-template/fleet",
 		Title: "same seeded Zipf trace, self-contained vs template-factored registry",
@@ -142,21 +92,19 @@ func runExtTemplate(c *Context) (*Report, error) {
 	}
 	var fetched [2]uint64
 	for mode, withTemplates := range []bool{false, true} {
-		deps, err := mkDeps(withTemplates)
+		run := deps
+		if withTemplates {
+			run = slices.Clone(deps)
+			for i := range run {
+				run[i].Config.Cache.Template = templates[cfgs[i].Family]
+				run[i].Config.Cache.ArtifactBytes = deltaSizes[i]
+			}
+		}
+		res, err := runChurnFleet(run, artifactcache.PolicyLRU)
 		if err != nil {
 			return nil, err
 		}
-		cfg := base
-		cfg.Deployments = deps
-		res, err := cluster.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		cs, ttft := &metrics.Sample{}, &metrics.Sample{}
-		for _, d := range res.PerDeployment {
-			cs.AddAll(d.ColdStart)
-			ttft.AddAll(d.TTFT)
-		}
+		cs, ttft := fleetSamples(res)
 		st := res.Cache
 		fetched[mode] = st.BytesFetched
 		label := "self-contained v2"

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"github.com/medusa-repro/medusa/internal/cluster"
-	"github.com/medusa-repro/medusa/internal/engine"
 	"github.com/medusa-repro/medusa/internal/metrics"
-	"github.com/medusa-repro/medusa/internal/model"
 	"github.com/medusa-repro/medusa/internal/replicate"
 	"github.com/medusa-repro/medusa/internal/serverless"
 	"github.com/medusa-repro/medusa/internal/workload"
@@ -45,36 +43,14 @@ type scaleRepStats struct {
 // so the table — and the mean ± 95% CI summary — is byte-identical
 // however many workers the pool uses.
 func runExtScale(c *Context) (*Report, error) {
-	cfgs := make([]model.Config, 0, len(scaleModels))
-	for _, name := range scaleModels {
-		cfg, err := model.ByName(name)
-		if err != nil {
-			return nil, err
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	if err := c.PrefetchArtifacts(cfgs, 0); err != nil {
+	deps, err := c.medusaDeployments(scaleModels, serverless.Scheduler{IdleTimeout: 200 * time.Millisecond})
+	if err != nil {
 		return nil, err
 	}
 
+	// Replications share deps read-only: cluster.Run copies each
+	// deployment before the event loop touches it.
 	runRep := func(rep int) (scaleRepStats, error) {
-		deps := make([]serverless.Deployment, 0, len(cfgs))
-		for i, cfg := range cfgs {
-			art, size, _, err := c.Artifact(cfg)
-			if err != nil {
-				return scaleRepStats{}, err
-			}
-			deps = append(deps, serverless.Deployment{
-				Name: cfg.Name,
-				Config: serverless.Config{
-					Model: cfg, Strategy: engine.StrategyMedusa,
-					Store: c.Store, Cache: serverless.CacheSpec{Artifact: art, ArtifactBytes: size},
-					Seed:      int64(i + 1),
-					Profiles:  c.profileCache(),
-					Scheduler: serverless.Scheduler{IdleTimeout: 200 * time.Millisecond},
-				},
-			})
-		}
 		src, err := workload.NewPoisson(workload.TraceConfig{
 			Seed: 1000 + int64(rep), RPS: 30, Duration: 40 * time.Second,
 			MeanOutput: 8, MaxOutput: 16,
@@ -94,16 +70,11 @@ func runExtScale(c *Context) (*Report, error) {
 		if err != nil {
 			return scaleRepStats{}, err
 		}
-		// Fleet-wide TTFT: merge the per-deployment samples (the merge
-		// is deterministic — reservoir offers in deployment order).
-		fleet := &metrics.Sample{}
-		st := scaleRepStats{makespan: res.Makespan, gpuSeconds: res.GPUSeconds, coldStarts: res.TotalColdStarts}
-		for _, d := range res.PerDeployment {
-			st.completed += d.Completed
-			fleet.AddAll(d.TTFT)
-		}
-		st.p99TTFT = fleet.P99()
-		return st, nil
+		_, ttft := fleetSamples(res)
+		return scaleRepStats{
+			completed: res.Completed, coldStarts: res.TotalColdStarts,
+			p99TTFT: ttft.P99(), makespan: res.Makespan, gpuSeconds: res.GPUSeconds,
+		}, nil
 	}
 
 	// workers=0: one worker per core. Determinism does not depend on

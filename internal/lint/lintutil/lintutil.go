@@ -74,20 +74,3 @@ func LocalCallGraph(pkg *types.Package, info *types.Info, files []*ast.File) map
 	}
 	return graph
 }
-
-// Reachable computes the set of functions reachable from roots in the
-// package-local call graph, including the roots themselves.
-func Reachable(graph map[*types.Func][]*types.Func, roots []*types.Func) map[*types.Func]bool {
-	seen := make(map[*types.Func]bool)
-	stack := append([]*types.Func(nil), roots...)
-	for len(stack) > 0 {
-		fn := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		stack = append(stack, graph[fn]...)
-	}
-	return seen
-}

@@ -3,12 +3,11 @@ package medusa
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/medusa-repro/medusa/internal/cuda"
 	"github.com/medusa-repro/medusa/internal/dl"
+	"github.com/medusa-repro/medusa/internal/replicate"
 )
 
 // Pointer-looking 8-byte scalars carry a high canonical address prefix.
@@ -92,35 +91,12 @@ func Analyze(rec *Recorder, proc *cuda.Process, opts AnalyzeOptions) (*Artifact,
 	if !opts.LinearMatch {
 		ix = rec.Index()
 	}
-	outs := make([]graphAnalysis, len(rec.graphs))
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(rec.graphs) {
-		workers = len(rec.graphs)
-	}
-	if workers > 1 {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for gi := range jobs {
-					outs[gi] = analyzeGraph(rec, proc, ix, opts, gi)
-				}
-			}()
-		}
-		for gi := range rec.graphs {
-			jobs <- gi
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for gi := range rec.graphs {
-			outs[gi] = analyzeGraph(rec, proc, ix, opts, gi)
-		}
+	var outs []graphAnalysis
+	if len(rec.graphs) > 0 {
+		// analyzeGraph carries its error in the result, so Run cannot fail.
+		outs, _ = replicate.Run(len(rec.graphs), opts.Parallelism, func(gi int) (graphAnalysis, error) {
+			return analyzeGraph(rec, proc, ix, opts, gi), nil
+		})
 	}
 
 	// Deterministic merge, in captured-graph order. The kernel table is

@@ -267,3 +267,19 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 		t.Fatal("indexed first-match differs from linear first-match")
 	}
 }
+
+// TestAnalyzeNoGraphs covers the empty fan-out: a recorder whose
+// capture stage attached no graph still analyzes, to an artifact with
+// no graphs, at any worker count.
+func TestAnalyzeNoGraphs(t *testing.T) {
+	p, rec := multiGraphFixture(t, nil)
+	for _, workers := range []int{0, 1, 4} {
+		art, err := Analyze(rec, p, AnalyzeOptions{ModelName: "empty", SkipContents: true, Parallelism: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(art.Graphs) != 0 {
+			t.Fatalf("workers=%d: %d graphs from a recorder that captured none", workers, len(art.Graphs))
+		}
+	}
+}

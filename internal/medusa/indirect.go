@@ -3,11 +3,10 @@ package medusa
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"github.com/medusa-repro/medusa/internal/cuda"
+	"github.com/medusa-repro/medusa/internal/replicate"
 )
 
 // §8 of the paper scopes Medusa to host-side allocations and direct
@@ -108,27 +107,31 @@ func ScanIndirectPointers(rec *Recorder, proc *cuda.Process, art *Artifact) ([]I
 	}
 	sort.Ints(targets)
 
-	perBuffer := make([][]IndirectPointerWarning, len(targets))
+	if len(targets) == 0 {
+		return nil, nil
+	}
 	errs := make([]error, len(targets))
-	scan := func(ti int) {
+	// scan carries its error in errs, so Run cannot fail.
+	perBuffer, _ := replicate.Run(len(targets), 0, func(ti int) ([]IndirectPointerWarning, error) {
 		idx := targets[ti]
 		sp := addrOf[idx]
 		buf, ok := proc.Device().Buffer(sp.addr)
 		if !ok {
-			return
+			return nil, nil
 		}
 		contents, err := buf.Snapshot()
 		if err != nil {
 			errs[ti] = fmt.Errorf("medusa: indirect scan of allocation %d: %w", idx, err)
-			return
+			return nil, nil
 		}
+		var found []IndirectPointerWarning
 		for off := 0; off+8 <= len(contents); off += 8 {
 			v := binary.LittleEndian.Uint64(contents[off:])
 			if v < ptrPrefixLo || v >= ptrPrefixHi {
 				continue
 			}
 			if target, hit := locate(v); hit {
-				perBuffer[ti] = append(perBuffer[ti], IndirectPointerWarning{
+				found = append(found, IndirectPointerWarning{
 					AllocIndex:  idx,
 					Offset:      uint64(off),
 					Value:       v,
@@ -136,33 +139,8 @@ func ScanIndirectPointers(rec *Recorder, proc *cuda.Process, art *Artifact) ([]I
 				})
 			}
 		}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers > 1 {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ti := range jobs {
-					scan(ti)
-				}
-			}()
-		}
-		for ti := range targets {
-			jobs <- ti
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for ti := range targets {
-			scan(ti)
-		}
-	}
+		return found, nil
+	})
 
 	var warnings []IndirectPointerWarning
 	for ti := range targets {

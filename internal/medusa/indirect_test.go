@@ -105,3 +105,18 @@ func TestIndirectScanRequiresCompleteRecorder(t *testing.T) {
 		t.Fatal("scan of incomplete recorder succeeded")
 	}
 }
+
+// TestIndirectScanNoPointerTargets covers the empty fan-out: when no
+// graph references a buffer through a pointer parameter there is
+// nothing to scan, so even a planted pointer yields no warning.
+func TestIndirectScanNoPointerTargets(t *testing.T) {
+	p, rec, art := scanFixture(t, 5200, true)
+	art.Graphs = nil
+	warnings, err := ScanIndirectPointers(rec, p, art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warnings) != 0 {
+		t.Fatalf("scan with no pointer targets produced warnings: %v", warnings)
+	}
+}

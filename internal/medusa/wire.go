@@ -45,9 +45,13 @@ type wireWriter struct {
 	buf bytes.Buffer
 }
 
-func (w *wireWriter) u8(v uint8)   { w.buf.WriteByte(v) }
-func (w *wireWriter) u32(v uint32) { _ = binary.Write(&w.buf, binary.LittleEndian, v) }
-func (w *wireWriter) u64(v uint64) { _ = binary.Write(&w.buf, binary.LittleEndian, v) }
+func (w *wireWriter) u8(v uint8) { w.buf.WriteByte(v) }
+func (w *wireWriter) u32(v uint32) {
+	w.buf.Write(binary.LittleEndian.AppendUint32(w.buf.AvailableBuffer(), v))
+}
+func (w *wireWriter) u64(v uint64) {
+	w.buf.Write(binary.LittleEndian.AppendUint64(w.buf.AvailableBuffer(), v))
+}
 func (w *wireWriter) boolean(v bool) {
 	if v {
 		w.u8(1)

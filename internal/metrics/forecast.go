@@ -6,51 +6,16 @@ import (
 )
 
 // This file holds the rate estimators the fleet control plane forecasts
-// demand with (internal/autoscale): plain exponential smoothing (EWMA),
-// Holt's linear trend method, and a windowed arrival-rate estimator
-// that feeds virtual-time arrival instants into a Holt filter. Nothing
-// here reads a wall clock — estimators advance only when fed
+// demand with (internal/autoscale): Holt's linear trend method and a
+// windowed arrival-rate estimator that feeds virtual-time arrival
+// instants into a Holt filter. Nothing here reads a wall clock — estimators advance only when fed
 // observations or explicitly rolled forward to a virtual instant, so
 // fixed-seed simulations using them stay byte-deterministic.
 
-// EWMA is an exponentially weighted moving average: level' = α·x +
-// (1−α)·level, initialized to the first observation. The zero value is
-// unusable; construct with NewEWMA.
-type EWMA struct {
-	alpha float64
-	level float64
-	n     int
-}
-
-// NewEWMA returns an EWMA smoother with weight alpha in (0, 1]. Larger
-// alphas track recent observations more aggressively.
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("metrics: EWMA alpha must be in (0,1], got %g", alpha)
-	}
-	return &EWMA{alpha: alpha}, nil
-}
-
-// Observe feeds one observation.
-func (e *EWMA) Observe(x float64) {
-	if e.n == 0 {
-		e.level = x
-	} else {
-		e.level = e.alpha*x + (1-e.alpha)*e.level
-	}
-	e.n++
-}
-
-// Level returns the smoothed value (0 before any observation).
-func (e *EWMA) Level() float64 { return e.level }
-
-// Count reports how many observations have been folded in.
-func (e *EWMA) Count() int { return e.n }
-
 // Holt is Holt's linear (double exponential) smoothing: a level and a
 // trend component, so forecasts extrapolate a ramp instead of lagging
-// it the way a plain EWMA does. Initialization is the textbook one —
-// level₀ = x₀, trend₀ = x₁ − x₀ — under which a perfectly linear
+// it the way plain exponential smoothing does. Initialization is the
+// textbook one — level₀ = x₀, trend₀ = x₁ − x₀ — under which a linear
 // series is tracked exactly (the unit tests pin this closed form).
 // The zero value is unusable; construct with NewHolt.
 type Holt struct {

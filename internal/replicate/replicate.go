@@ -1,12 +1,16 @@
-// Package replicate runs independent simulation replications on a
-// worker pool and collects their results in replication order.
+// Package replicate is the repository's one fan-out primitive: it runs
+// n indexed jobs on a bounded worker pool and collects their results in
+// index order. Simulation replications were its first use; per-graph
+// analysis, the indirect-pointer scan, validation-forwarding shards and
+// per-model offline phases run through it too.
 //
-// Determinism is the whole point: each replication is a pure function
-// of its index (callers derive the replication's seed from it), workers
-// share no mutable state, and results land in an index-addressed slice
-// — so the merged output is byte-identical whether the pool ran with 1
-// worker or 16, and identical to running the replications sequentially.
-// Parallelism changes only the wall-clock, never the bytes.
+// Determinism is the whole point: each job is a pure function of its
+// index (callers derive seeds from it), workers share no mutable state,
+// and results land in an index-addressed slice — so the merged output
+// is byte-identical whether the pool ran with 1 worker or 16, and
+// identical to running the jobs sequentially. Parallelism changes only
+// the wall-clock, never the bytes. A caller that must report a job's
+// error unwrapped keeps it in the result type and returns nil.
 package replicate
 
 import (

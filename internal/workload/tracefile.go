@@ -39,80 +39,6 @@ func WriteTrace(w io.Writer, reqs []Request) error {
 	return bw.Flush()
 }
 
-// TraceReader streams a JSON Lines trace one request per pull without
-// holding the file in memory — the scale path for replayed traces. It
-// requires arrivals in nondecreasing order (WriteTrace output always
-// is); an out-of-order or malformed line terminates the stream with an
-// error from Err. Use ReadTrace when the file may need sorting.
-type TraceReader struct {
-	sc     *bufio.Scanner
-	lineNo int
-	id     int
-	last   time.Duration
-	err    error
-	done   bool
-	any    bool
-}
-
-// NewTraceReader wraps a JSON Lines trace for streaming consumption.
-func NewTraceReader(r io.Reader) *TraceReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	return &TraceReader{sc: sc}
-}
-
-func (t *TraceReader) fail(err error) (Request, bool) {
-	t.err = err
-	t.done = true
-	return Request{}, false
-}
-
-// Next returns the next request in file order, with IDs assigned
-// sequentially.
-func (t *TraceReader) Next() (Request, bool) {
-	if t.done {
-		return Request{}, false
-	}
-	for t.sc.Scan() {
-		t.lineNo++
-		line := t.sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var tl traceLine
-		if err := json.Unmarshal(line, &tl); err != nil {
-			return t.fail(fmt.Errorf("workload: trace line %d: %w", t.lineNo, err))
-		}
-		if tl.ArrivalMS < 0 || tl.PromptTokens < 1 || tl.OutputTokens < 1 {
-			return t.fail(fmt.Errorf("workload: trace line %d: invalid request %+v", t.lineNo, tl))
-		}
-		arrival := time.Duration(tl.ArrivalMS) * time.Millisecond
-		if arrival < t.last {
-			return t.fail(fmt.Errorf("workload: trace line %d: arrival %v before previous %v (streaming replay needs a sorted trace)", t.lineNo, arrival, t.last))
-		}
-		t.last = arrival
-		r := Request{
-			ID:           t.id,
-			Arrival:      arrival,
-			PromptTokens: tl.PromptTokens,
-			OutputTokens: tl.OutputTokens,
-		}
-		t.id++
-		t.any = true
-		return r, true
-	}
-	t.done = true
-	if err := t.sc.Err(); err != nil {
-		t.err = err
-	} else if !t.any {
-		t.err = fmt.Errorf("workload: empty trace")
-	}
-	return Request{}, false
-}
-
-// Err reports the error that terminated the stream, if any.
-func (t *TraceReader) Err() error { return t.err }
-
 // ReadTrace parses a JSON Lines trace. Requests are sorted by arrival
 // and renumbered; malformed lines fail with their line number.
 func ReadTrace(r io.Reader) ([]Request, error) {
