@@ -2,21 +2,29 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint docs linkcheck test test-race short bench perfbench-test bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo loc clean
+.PHONY: all check build vet fmt-check lint docs linkcheck test test-race short bench perfbench-test bench-smoke batch-smoke fleet-smoke faults-smoke figures results-check examples fuzz cover trace-demo loc clean
 
 all: build test
 
-# One-stop verification: compile, vet, lint the determinism invariants,
-# check the documentation's relative links, full tests, race-detect
-# everything, the batched-execution and fleet-control-plane smokes, run
-# the examples, then regenerate results/ and require byte identity.
-check: build vet lint linkcheck test test-race batch-smoke fleet-smoke examples results-check
+# One-stop verification: compile, vet, require gofmt-clean sources, lint
+# the determinism invariants, check the documentation's relative links,
+# full tests, race-detect everything, the batched-execution and
+# fleet-control-plane smokes, run the examples, then regenerate results/
+# and require byte identity.
+check: build vet fmt-check lint linkcheck test test-race batch-smoke fleet-smoke examples results-check
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Format gate: fail when gofmt -l lists any Go file of the set make loc
+# counts (hidden directories and perfbench/ pruned).
+GOFMT ?= gofmt
+fmt-check:
+	@out=$$($(LOC_GO) -print | xargs $(GOFMT) -l) && \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # medusalint enforces the simulator's determinism, capture-safety, and
 # pooled-state invariants: the syntactic passes (wallclock, seededrand,

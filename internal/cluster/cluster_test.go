@@ -78,11 +78,11 @@ func medusaDeployment(t testing.TB, name string, seed int64) serverless.Config {
 		t.Fatalf("model %s not in fixture", name)
 	}
 	return serverless.Config{
-		Model:         fa.cfg,
-		Strategy:      engine.StrategyMedusa,
-		Store:         fixtureStore,
-		Cache:         serverless.CacheSpec{Artifact: fa.art, ArtifactBytes: fa.bytes},
-		Seed:          seed,
+		Model:    fa.cfg,
+		Strategy: engine.StrategyMedusa,
+		Store:    fixtureStore,
+		Cache:    serverless.CacheSpec{Artifact: fa.art, ArtifactBytes: fa.bytes},
+		Seed:     seed,
 	}
 }
 

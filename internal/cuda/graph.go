@@ -39,10 +39,12 @@ type Event struct {
 // NewEvent creates an event.
 func (p *Process) NewEvent() *Event { return &Event{node: -1} }
 
-// captureState holds an in-progress stream capture.
+// captureState holds an in-progress stream capture. Its nodes and their
+// data are carved from the capture's own slab.
 type captureState struct {
 	origin       *Stream
 	nodes        []*Node
+	slab         *NodeSlab
 	lastInStream map[int]int // stream id -> last node id
 	pendingDeps  map[int][]int
 	invalidated  error
@@ -54,8 +56,13 @@ func (s *Stream) BeginCapture() error {
 	if s.p.capture != nil {
 		return ErrCaptureActive
 	}
+	// An engine captures one graph per batch size, each the size of the
+	// last give or take a node, so the last capture sizes this one's
+	// node list and slab.
 	s.p.capture = &captureState{
 		origin:       s,
+		nodes:        make([]*Node, 0, s.p.lastCapture.Nodes),
+		slab:         NewNodeSlab(s.p.lastCapture),
 		lastInStream: make(map[int]int),
 		pendingDeps:  make(map[int][]int),
 	}
@@ -71,6 +78,7 @@ func (s *Stream) EndCapture() (*Graph, error) {
 		return nil, ErrNoCapture
 	}
 	s.p.capture = nil
+	s.p.lastCapture = c.slab.used
 	if c.invalidated != nil {
 		return nil, c.invalidated
 	}
@@ -84,31 +92,29 @@ func (s *Stream) EndCapture() (*Graph, error) {
 // Capturing reports whether a capture is active on the process.
 func (p *Process) Capturing() bool { return p.capture != nil }
 
-// record appends a launch as a graph node.
-func (c *captureState) record(s *Stream, k *Kernel, args []Value) int {
+// record appends a launch as a graph node and returns the node.
+func (c *captureState) record(s *Stream, k *Kernel, args []Value) *Node {
 	id := len(c.nodes)
-	var deps []int
-	if last, ok := c.lastInStream[s.id]; ok {
-		deps = append(deps, last)
+	last, hasLast := c.lastInStream[s.id]
+	pend := c.pendingDeps[s.id]
+	nDeps := len(pend)
+	if hasLast {
+		nDeps++
 	}
-	if pend := c.pendingDeps[s.id]; len(pend) > 0 {
-		deps = append(deps, pend...)
+	n := c.slab.Node(id, k.Addr(), len(args), nDeps)
+	if hasLast {
+		n.Deps[0] = last
+	}
+	if len(pend) > 0 {
+		copy(n.Deps[nDeps-len(pend):], pend)
 		delete(c.pendingDeps, s.id)
 	}
-	raw := EncodeArgs(args)
-	sizes := make([]int, len(raw))
-	for i := range raw {
-		sizes[i] = len(raw[i])
+	for i, a := range args {
+		a.put(c.slab.Image(n, i, a.Kind.Size()))
 	}
-	c.nodes = append(c.nodes, &Node{
-		ID:         id,
-		KernelAddr: k.Addr(),
-		Params:     raw,
-		ParamSizes: sizes,
-		Deps:       deps,
-	})
+	c.nodes = append(c.nodes, n)
 	c.lastInStream[s.id] = id
-	return id
+	return n
 }
 
 // RecordEvent records the event on the stream. During capture it marks
@@ -180,59 +186,82 @@ func (g *Graph) NodeCount() int { return len(g.nodes) }
 // Validate checks IDs are dense, dependencies reference earlier valid
 // nodes, and the graph is acyclic.
 func (g *Graph) Validate() error {
+	_, err := g.validate()
+	return err
+}
+
+// validate is Validate returning the topological order its acyclicity
+// check computed, so Instantiate need not compute it again.
+func (g *Graph) validate() ([]int, error) {
 	for i, n := range g.nodes {
 		if n.ID != i {
-			return fmt.Errorf("node %d has ID %d", i, n.ID)
+			return nil, fmt.Errorf("node %d has ID %d", i, n.ID)
 		}
 		if len(n.Params) != len(n.ParamSizes) {
-			return fmt.Errorf("node %d: %d params, %d sizes", i, len(n.Params), len(n.ParamSizes))
+			return nil, fmt.Errorf("node %d: %d params, %d sizes", i, len(n.Params), len(n.ParamSizes))
 		}
 		for j, p := range n.Params {
 			if len(p) != n.ParamSizes[j] {
-				return fmt.Errorf("node %d param %d: image %d bytes, declared %d", i, j, len(p), n.ParamSizes[j])
+				return nil, fmt.Errorf("node %d param %d: image %d bytes, declared %d", i, j, len(p), n.ParamSizes[j])
 			}
 		}
 		for _, d := range n.Deps {
 			if d < 0 || d >= len(g.nodes) {
-				return fmt.Errorf("node %d depends on invalid node %d", i, d)
+				return nil, fmt.Errorf("node %d depends on invalid node %d", i, d)
 			}
 		}
 	}
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	return g.TopoOrder()
 }
 
 // TopoOrder returns a topological ordering of node IDs (dependencies
 // first) or an error if the graph has a cycle.
 func (g *Graph) TopoOrder() ([]int, error) {
 	n := len(g.nodes)
-	indeg := make([]int, n)
-	succ := make([][]int, n)
+	edges := 0
+	for _, node := range g.nodes {
+		edges += len(node.Deps)
+	}
+	// Successor lists in CSR form, in one scratch slice: count each
+	// node's successors, prefix-sum the counts into offsets, then fill.
+	// Filling advances off[d] from the start of d's list to its end,
+	// so afterwards d's successors are succ[off[d-1]:off[d]].
+	scratch := make([]int, 2*n+1+edges)
+	indeg, off, succ := scratch[:n], scratch[n:2*n+1], scratch[2*n+1:]
 	for _, node := range g.nodes {
 		for _, d := range node.Deps {
-			succ[d] = append(succ[d], node.ID)
+			off[d+1]++
 			indeg[node.ID]++
 		}
 	}
-	// Kahn's algorithm with a FIFO over node IDs keeps the order
-	// deterministic and close to capture order.
-	queue := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, i)
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	for _, node := range g.nodes {
+		for _, d := range node.Deps {
+			succ[off[d]] = node.ID
+			off[d]++
 		}
 	}
+	// Kahn's algorithm with a FIFO over node IDs keeps the order
+	// deterministic and close to capture order. The order is the FIFO
+	// itself: a node is appended when its last dependency is popped.
 	order := make([]int, 0, n)
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, s := range succ[id] {
+	for i := 0; i < n; i++ {
+		if indeg[i] == 0 {
+			order = append(order, i)
+		}
+	}
+	for head := 0; head < len(order); head++ {
+		id := order[head]
+		lo := 0
+		if id > 0 {
+			lo = off[id-1]
+		}
+		for _, s := range succ[lo:off[id]] {
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				order = append(order, s)
 			}
 		}
 	}
@@ -253,10 +282,7 @@ type GraphExec struct {
 // kernel address must resolve to a loaded kernel with a matching
 // parameter layout — and prepares it for launch (cudaGraphInstantiate).
 func (g *Graph) Instantiate(p *Process) (*GraphExec, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	topo, err := g.TopoOrder()
+	topo, err := g.validate()
 	if err != nil {
 		return nil, err
 	}

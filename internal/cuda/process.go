@@ -104,7 +104,9 @@ type LaunchRecord struct {
 	KernelAddr uint64
 	// RawParams are the serialized parameter images, exactly what a
 	// captured graph node stores. Offline analysis must work from these
-	// (plus sizes), never from typed values.
+	// (plus sizes), never from typed values. For a captured launch they
+	// and ParamSizes are the node's own slices: hooks must not modify
+	// them.
 	RawParams  [][]byte
 	ParamSizes []int
 	// Captured reports whether the launch was recorded into an active
@@ -140,6 +142,8 @@ type Process struct {
 	hooks     Hooks
 	allocSeq  int            // next allocation index
 	liveAlloc map[uint64]int // live addr -> allocation index
+
+	lastCapture SlabSize // what the last capture used; sizes the next one's slab
 }
 
 // Kernel is a loaded kernel function in one process: the pair of a
@@ -427,12 +431,21 @@ func (p *Process) Launch(s *Stream, name string, args []Value) error {
 	if p.capture != nil && p.capture.invalidated == nil {
 		node := p.capture.record(s, k, args)
 		p.clock.Advance(p.cfg.CaptureOverhead)
-		p.emitLaunch(k, args, true, node)
+		if p.hooks.OnLaunch != nil {
+			p.emitLaunch(k, node.Params, node.ParamSizes, true, node.ID)
+		}
 		return nil
 	}
 	p.clock.Advance(p.cfg.LaunchOverhead)
 	p.clock.Advance(p.kernelCost(impl, args))
-	p.emitLaunch(k, args, false, -1)
+	if p.hooks.OnLaunch != nil {
+		raw := EncodeArgs(args)
+		sizes := make([]int, len(raw))
+		for i := range raw {
+			sizes[i] = len(raw[i])
+		}
+		p.emitLaunch(k, raw, sizes, false, -1)
+	}
 	if p.dev.Functional() && impl.Func != nil {
 		if err := impl.Func(p.dev, args); err != nil {
 			return fmt.Errorf("kernel %s: %w", name, err)
@@ -441,15 +454,7 @@ func (p *Process) Launch(s *Stream, name string, args []Value) error {
 	return nil
 }
 
-func (p *Process) emitLaunch(k *Kernel, args []Value, captured bool, node int) {
-	if p.hooks.OnLaunch == nil {
-		return
-	}
-	raw := EncodeArgs(args)
-	sizes := make([]int, len(raw))
-	for i := range raw {
-		sizes[i] = len(raw[i])
-	}
+func (p *Process) emitLaunch(k *Kernel, raw [][]byte, sizes []int, captured bool, node int) {
 	p.hooks.OnLaunch(LaunchRecord{
 		KernelName: k.Name(),
 		KernelAddr: k.Addr(),

@@ -93,15 +93,19 @@ func (v Value) F32() float32 { return math.Float32frombits(uint32(v.Bits)) }
 // Encode serializes the argument to its little-endian raw image — the
 // representation stored in a captured graph node.
 func (v Value) Encode() []byte {
-	switch v.Kind.Size() {
+	p := make([]byte, v.Kind.Size())
+	v.put(p)
+	return p
+}
+
+// put writes the argument's raw image into p, which holds exactly
+// Kind.Size() bytes.
+func (v Value) put(p []byte) {
+	switch len(p) {
 	case 8:
-		p := make([]byte, 8)
 		binary.LittleEndian.PutUint64(p, v.Bits)
-		return p
 	case 4:
-		p := make([]byte, 4)
 		binary.LittleEndian.PutUint32(p, uint32(v.Bits))
-		return p
 	default:
 		panic("unreachable")
 	}
@@ -120,11 +124,20 @@ func DecodeValue(kind ParamKind, raw []byte) (Value, error) {
 	}
 }
 
-// EncodeArgs serializes an argument list into raw parameter images.
+// EncodeArgs serializes an argument list into raw parameter images,
+// all carved from one backing slice.
 func EncodeArgs(args []Value) [][]byte {
+	n := 0
+	for _, a := range args {
+		n += a.Kind.Size()
+	}
+	buf := make([]byte, n)
 	out := make([][]byte, len(args))
 	for i, a := range args {
-		out[i] = a.Encode()
+		sz := a.Kind.Size()
+		out[i] = buf[:sz:sz]
+		a.put(out[i])
+		buf = buf[sz:]
 	}
 	return out
 }

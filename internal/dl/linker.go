@@ -82,9 +82,3 @@ func (l *Linker) Dlsym(ll *LoadedLibrary, name string) (SymbolHandle, error) {
 	}
 	return SymbolHandle{Library: ll.Lib.Name, Name: name, Addr: ll.AddrOf(s)}, nil
 }
-
-// Loaded returns the loaded view of a library if it has been mapped.
-func (l *Linker) Loaded(name string) (*LoadedLibrary, bool) {
-	ll, ok := l.loaded[name]
-	return ll, ok
-}

@@ -332,6 +332,7 @@ type Instance struct {
 	timeline *trace.Timeline
 
 	weights map[string]uint64
+	layers  []layerWeights // per-layer view of weights
 	io      ioSet
 
 	kvMgr          *kvcache.Manager

@@ -104,9 +104,6 @@ func (inst *Instance) launchDecodeForward(rows int) error {
 			cuda.PtrValue(dst), cuda.PtrValue(a), cuda.PtrValue(b),
 			cuda.U32Value(m*uint32(h)))
 	}
-	wt := func(layer int, name string) uint64 {
-		return inst.weights[fmt.Sprintf("layers.%d.%s", layer, name)]
-	}
 
 	// Prologue: embedding lookup.
 	if err := launch(kernels.EmbedLookup,
@@ -115,11 +112,12 @@ func (inst *Instance) launchDecodeForward(rows int) error {
 		return err
 	}
 
-	for l := 0; l < cfg.Layers; l++ {
-		if err := norm(io.norm, io.x, wt(l, "input_norm")); err != nil {
+	for l := range inst.layers {
+		lw := &inst.layers[l]
+		if err := norm(io.norm, io.x, lw.inputNorm); err != nil {
 			return err
 		}
-		if err := gemm(io.qkv, io.norm, wt(l, "wqkv"), 3*hd, h); err != nil {
+		if err := gemm(io.qkv, io.norm, lw.wqkv, 3*hd, h); err != nil {
 			return err
 		}
 		if err := launch(kernels.RopeCache,
@@ -134,13 +132,13 @@ func (inst *Instance) launchDecodeForward(rows int) error {
 			cuda.U32Value(m), cuda.U32Value(uint32(hd)), cuda.U32Value(mb)); err != nil {
 			return err
 		}
-		if err := gemm(io.oOut, io.attnOut, wt(l, "wo"), h, hd); err != nil {
+		if err := gemm(io.oOut, io.attnOut, lw.wo, h, hd); err != nil {
 			return err
 		}
 		switch cfg.Family {
 		case model.FamilyParallel:
 			if err := launch(kernels.BiasAdd,
-				cuda.PtrValue(io.oOut), cuda.PtrValue(wt(l, "attn_bias")),
+				cuda.PtrValue(io.oOut), cuda.PtrValue(lw.attnBias),
 				cuda.U32Value(m), cuda.U32Value(uint32(h))); err != nil {
 				return err
 			}
@@ -149,17 +147,17 @@ func (inst *Instance) launchDecodeForward(rows int) error {
 			if err := add(io.x, io.x, io.oOut); err != nil {
 				return err
 			}
-			if err := norm(io.norm, io.x, wt(l, "post_norm")); err != nil {
+			if err := norm(io.norm, io.x, lw.postNorm); err != nil {
 				return err
 			}
 		case model.FamilyFused:
 			// Fused residual: the post-norm reads the attention output
 			// directly and a single add closes the layer.
-			if err := norm(io.norm, io.oOut, wt(l, "post_norm")); err != nil {
+			if err := norm(io.norm, io.oOut, lw.postNorm); err != nil {
 				return err
 			}
 		}
-		if err := gemm(io.gateUp, io.norm, wt(l, "wgateup"), 2*fd, h); err != nil {
+		if err := gemm(io.gateUp, io.norm, lw.wgateup, 2*fd, h); err != nil {
 			return err
 		}
 		if err := launch(kernels.SiluMul,
@@ -167,7 +165,7 @@ func (inst *Instance) launchDecodeForward(rows int) error {
 			cuda.U32Value(m), cuda.U32Value(uint32(fd))); err != nil {
 			return err
 		}
-		if err := gemm(io.downOut, io.mlpOut, wt(l, "wdown"), h, fd); err != nil {
+		if err := gemm(io.downOut, io.mlpOut, lw.wdown, h, fd); err != nil {
 			return err
 		}
 		if cfg.Family == model.FamilyFused {
@@ -244,11 +242,11 @@ func (inst *Instance) launchFirstLayerForward(rows int) error {
 		return err
 	}
 	if err := p.Launch(s, kernels.RMSNorm, []cuda.Value{
-		cuda.PtrValue(io.norm), cuda.PtrValue(io.x), cuda.PtrValue(inst.weights["layers.0.input_norm"]),
+		cuda.PtrValue(io.norm), cuda.PtrValue(io.x), cuda.PtrValue(inst.layers[0].inputNorm),
 		cuda.U32Value(m), cuda.U32Value(uint32(h))}); err != nil {
 		return err
 	}
-	if err := gemm(io.qkv, io.norm, inst.weights["layers.0.wqkv"], 3*hd, h); err != nil {
+	if err := gemm(io.qkv, io.norm, inst.layers[0].wqkv, 3*hd, h); err != nil {
 		return err
 	}
 	if err := p.Launch(s, kernels.RopeCache, []cuda.Value{
@@ -263,10 +261,10 @@ func (inst *Instance) launchFirstLayerForward(rows int) error {
 		cuda.U32Value(m), cuda.U32Value(uint32(hd)), cuda.U32Value(mb)}); err != nil {
 		return err
 	}
-	if err := gemm(io.oOut, io.attnOut, inst.weights["layers.0.wo"], h, hd); err != nil {
+	if err := gemm(io.oOut, io.attnOut, inst.layers[0].wo, h, hd); err != nil {
 		return err
 	}
-	if err := gemm(io.gateUp, io.norm, inst.weights["layers.0.wgateup"], 2*fd, h); err != nil {
+	if err := gemm(io.gateUp, io.norm, inst.layers[0].wgateup, 2*fd, h); err != nil {
 		return err
 	}
 	if err := p.Launch(s, kernels.SiluMul, []cuda.Value{
@@ -274,7 +272,7 @@ func (inst *Instance) launchFirstLayerForward(rows int) error {
 		cuda.U32Value(m), cuda.U32Value(uint32(fd))}); err != nil {
 		return err
 	}
-	return gemm(io.downOut, io.mlpOut, inst.weights["layers.0.wdown"], h, fd)
+	return gemm(io.downOut, io.mlpOut, inst.layers[0].wdown, h, fd)
 }
 
 // primeDecodeInputs writes deterministic decode inputs for `rows`

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/medusa-repro/medusa/internal/kvcache"
 	"github.com/medusa-repro/medusa/internal/model"
@@ -49,14 +50,50 @@ func (inst *Instance) stageStructInit() error {
 	done := inst.stageSpan("struct_init")
 	defer done(obs.Attr{Key: "tensors", Value: fmt.Sprint(len(cfg.Tensors()))})
 	inst.proc.Clock().Advance(structInitDuration(cfg))
+	inst.layers = make([]layerWeights, cfg.Layers)
 	for _, spec := range cfg.Tensors() {
 		addr, err := inst.proc.Malloc(cfg.TensorBytes(spec))
 		if err != nil {
 			return fmt.Errorf("tensor %s: %w", spec.Name, err)
 		}
 		inst.weights[spec.Name] = addr
+		if spec.Layer >= 0 && !inst.layers[spec.Layer].set(spec.Name[strings.LastIndexByte(spec.Name, '.')+1:], addr) {
+			return fmt.Errorf("tensor %s: unknown layer tensor role", spec.Name)
+		}
 	}
 	return inst.allocIO()
+}
+
+// layerWeights holds one decoder layer's weight addresses, resolved once
+// at structure init so forward launches index them instead of formatting
+// a tensor name per launch.
+type layerWeights struct {
+	inputNorm, wqkv, wo, postNorm, wgateup, wdown, attnBias uint64
+}
+
+// set records the address of the layer's tensor named role (the last
+// component of its "layers.<l>.<role>" name); it reports false for a
+// role the forward launches do not know.
+func (lw *layerWeights) set(role string, addr uint64) bool {
+	switch role {
+	case "input_norm":
+		lw.inputNorm = addr
+	case "wqkv":
+		lw.wqkv = addr
+	case "wo":
+		lw.wo = addr
+	case "post_norm":
+		lw.postNorm = addr
+	case "wgateup":
+		lw.wgateup = addr
+	case "wdown":
+		lw.wdown = addr
+	case "attn_bias":
+		lw.attnBias = addr
+	default:
+		return false
+	}
+	return true
 }
 
 // allocIO allocates the persistent IO buffers for the largest capture

@@ -198,7 +198,9 @@ func TestCrashSchedule(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("CrashSchedule = %v, want %v", got, want)
 	}
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i].At < got[j].At || (got[i].At == got[j].At && got[i].Node < got[j].Node) }) {
+	if !sort.SliceIsSorted(got, func(i, j int) bool {
+		return got[i].At < got[j].At || (got[i].At == got[j].At && got[i].Node < got[j].Node)
+	}) {
 		t.Fatal("schedule not sorted")
 	}
 }

@@ -163,9 +163,23 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 			return ix.BackwardMatch(eventPos, p)
 		}
 	}
-	for ni, node := range cg.graph.Nodes() {
+	// The graph's records share one backing slice per kind, handed out
+	// as capacity-capped sub-slices.
+	nodes := cg.graph.Nodes()
+	var nParams, nBytes, nDeps int
+	for _, node := range nodes {
+		nParams += len(node.Params)
+		nDeps += len(node.Deps)
+		for _, raw := range node.Params {
+			nBytes += len(raw)
+		}
+	}
+	params, raws, deps := make([]ParamRecord, nParams), make([]byte, nBytes), make([]int, nDeps)
+	out.gr.Nodes = make([]NodeRecord, 0, len(nodes))
+	for ni, node := range nodes {
 		l := cg.launches[ni]
-		nr := NodeRecord{Deps: append([]int(nil), node.Deps...)}
+		nr := NodeRecord{Deps: take(&deps, len(node.Deps)), Params: take(&params, len(node.Params))}
+		copy(nr.Deps, node.Deps)
 
 		k, ok := proc.KernelByAddr(node.KernelAddr)
 		if !ok {
@@ -182,8 +196,10 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 			out.kernels[nr.KernelName] = loc
 		}
 
-		for _, raw := range node.Params {
-			pr := ParamRecord{Raw: append([]byte(nil), raw...)}
+		for pi, raw := range node.Params {
+			pr := &nr.Params[pi]
+			pr.Raw = take(&raws, len(raw))
+			copy(pr.Raw, raw)
 			if p, isPtr := looksLikePointer(raw); isPtr {
 				if idx, off, found := match(l.eventPos, p); found {
 					pr.Pointer = true
@@ -196,11 +212,21 @@ func analyzeGraph(rec *Recorder, proc *cuda.Process, ix *TraceIndex, opts Analyz
 				// manages. Validation forwarding covers the case
 				// where this speculation is wrong.
 			}
-			nr.Params = append(nr.Params, pr)
 		}
 		out.gr.Nodes = append(out.gr.Nodes, nr)
 	}
 	return out
+}
+
+// take returns the first n elements of *s as a capacity-capped
+// sub-slice, nil when n is 0, and advances *s past them.
+func take[T any](s *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	v := (*s)[:n:n]
+	*s = (*s)[n:]
+	return v
 }
 
 // locateKernel records how the online phase can find a kernel: its

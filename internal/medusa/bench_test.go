@@ -9,7 +9,7 @@ import (
 )
 
 // offlineBenchFixture builds a recorder + graphs without test assertions.
-func offlineBenchFixture(b *testing.B, nodes int) (*cuda.Process, *Recorder) {
+func offlineBenchFixture(b testing.TB, nodes int) (*cuda.Process, *Recorder) {
 	b.Helper()
 	rt := toyRuntime()
 	p := cuda.NewProcess(rt, vclock.New(), cuda.Config{Seed: 1, Mode: gpu.CostOnly})

@@ -37,7 +37,6 @@ type event struct {
 type launch struct {
 	eventPos   int // events observed before this launch
 	kernelAddr uint64
-	raw        [][]byte
 	captured   bool
 	nodeID     int
 }
@@ -90,7 +89,6 @@ func (r *Recorder) Hooks() cuda.Hooks {
 			l := launch{
 				eventPos:   len(r.events),
 				kernelAddr: rec.KernelAddr,
-				raw:        rec.RawParams,
 				captured:   rec.Captured,
 				nodeID:     rec.NodeID,
 			}

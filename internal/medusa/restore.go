@@ -183,9 +183,10 @@ func (r *Restorer) RestoreGraphs(trigger TriggerFunc) (map[int]*cuda.GraphExec, 
 				return nil, fmt.Errorf("medusa: triggering-kernels for batch %d: %w", g.Batch, err)
 			}
 		}
+		slab := newGraphSlab(g)
 		nodes := make([]*cuda.Node, len(g.Nodes))
 		for ni := range g.Nodes {
-			node, err := r.buildNode(ni, &g.Nodes[ni])
+			node, err := r.buildNode(slab, ni, &g.Nodes[ni])
 			if err != nil {
 				return nil, fmt.Errorf("medusa: graph %d node %d: %w", g.Batch, ni, err)
 			}
@@ -201,26 +202,51 @@ func (r *Restorer) RestoreGraphs(trigger TriggerFunc) (map[int]*cuda.GraphExec, 
 	return out, nil
 }
 
-// buildNode materializes one node: kernel address plus parameter images.
-func (r *Restorer) buildNode(id int, nr *NodeRecord) (*cuda.Node, error) {
+// newGraphSlab sizes one slab for a graph's nodes, parameter headers,
+// sizes, image bytes and dependencies, so restoring it allocates per
+// graph, not per node or parameter.
+func newGraphSlab(g *GraphRecord) *cuda.NodeSlab {
+	size := cuda.SlabSize{Nodes: len(g.Nodes)}
+	for ni := range g.Nodes {
+		nr := &g.Nodes[ni]
+		size.Params += len(nr.Params)
+		size.Deps += len(nr.Deps)
+		for pi := range nr.Params {
+			size.Bytes += nr.Params[pi].imageSize()
+		}
+	}
+	return cuda.NewNodeSlab(size)
+}
+
+// imageSize is the byte size of the parameter's restored image: a
+// device pointer for indirect index pointers, the constant otherwise.
+func (p *ParamRecord) imageSize() int {
+	if p.Pointer {
+		return 8
+	}
+	return len(p.Raw)
+}
+
+// buildNode materializes one node in the graph's slab: kernel address
+// plus parameter images.
+func (r *Restorer) buildNode(slab *cuda.NodeSlab, id int, nr *NodeRecord) (*cuda.Node, error) {
 	addr, err := r.resolveKernel(nr.KernelName)
 	if err != nil {
 		return nil, err
 	}
-	node := &cuda.Node{ID: id, KernelAddr: addr, Deps: append([]int(nil), nr.Deps...)}
-	for pi, p := range nr.Params {
-		var raw []byte
-		if p.Pointer {
-			if !r.have[p.AllocIndex] {
-				return nil, fmt.Errorf("param %d: indirect index %d was never allocated", pi, p.AllocIndex)
-			}
-			raw = make([]byte, 8)
-			binary.LittleEndian.PutUint64(raw, r.addr[p.AllocIndex]+p.Offset)
-		} else {
-			raw = append([]byte(nil), p.Raw...)
+	node := slab.Node(id, addr, len(nr.Params), len(nr.Deps))
+	copy(node.Deps, nr.Deps)
+	for pi := range nr.Params {
+		p := &nr.Params[pi]
+		img := slab.Image(node, pi, p.imageSize())
+		if !p.Pointer {
+			copy(img, p.Raw)
+			continue
 		}
-		node.Params = append(node.Params, raw)
-		node.ParamSizes = append(node.ParamSizes, len(raw))
+		if !r.have[p.AllocIndex] {
+			return nil, fmt.Errorf("param %d: indirect index %d was never allocated", pi, p.AllocIndex)
+		}
+		binary.LittleEndian.PutUint64(img, r.addr[p.AllocIndex]+p.Offset)
 	}
 	return node, nil
 }

@@ -75,9 +75,6 @@ func (h *Holt) Trend() float64 {
 // interpolates within a step.
 func (h *Holt) Forecast(k float64) float64 { return h.Level() + k*h.Trend() }
 
-// Count reports how many observations have been folded in.
-func (h *Holt) Count() int { return h.n }
-
 // RateWindow estimates an arrival process's rate on virtual time: it
 // counts arrivals into fixed-width windows and feeds each completed
 // window's rate (count/width, in events per second) into a Holt
@@ -154,6 +151,3 @@ func (w *RateWindow) ForecastAt(t, horizon time.Duration) float64 {
 	}
 	return f
 }
-
-// Windows reports how many complete windows have been folded in.
-func (w *RateWindow) Windows() int { return w.holt.Count() }
