@@ -142,6 +142,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzDeltaCorrupted -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzDecodeTemplate -fuzztime 30s ./internal/medusa/
 	$(GO) test -run xxx -fuzz FuzzEncodeDecode -fuzztime 30s ./internal/tokenizer/
+	$(GO) test -run xxx -fuzz FuzzQueueLanes -fuzztime 30s ./internal/eventq/
 
 cover:
 	$(GO) test -cover ./internal/...

@@ -6,6 +6,8 @@
 // out of GPUs; placement itself stays with the simulator's
 // locality-aware placer (RAM > in-flight > SSD > registry), so a
 // scale-up lands on artifact-warm nodes whichever policy asked for it.
+// A policy that declares CountDriven is consulted only at ticks where
+// what it reads, or the fleet's free capacity, has changed.
 //
 // Policies advance only on virtual-time observations — no wall clock,
 // no shared RNG — so a fixed-seed simulation renders byte-identically
@@ -81,6 +83,20 @@ type Retainer interface {
 	Retain(dep int, o Observation) int
 }
 
+// CountDriven is an optional Policy extension declaring that Desired is
+// a pure function of the deployment and the Observation's Outstanding,
+// Live and InstanceTarget: it reads neither the clock nor anything
+// ObserveArrival records. The simulator then skips a control tick when
+// none of those counts, and no node's free capacity, has changed since
+// its last full tick — every deployment is still satisfied or still
+// blocked for lack of room, so the tick would launch nothing. Policies
+// that read Now or an arrival history (predictive) must not implement
+// it; they are evaluated on every tick.
+type CountDriven interface {
+	// CountDriven marks the property; the simulator never calls it.
+	CountDriven()
+}
+
 // Reactive is the baseline policy: one instance per InstanceTarget
 // outstanding requests, zero when idle — exactly the formula the
 // simulator applied before policies were pluggable, so a reactive run
@@ -95,6 +111,10 @@ func (*Reactive) Name() string { return "reactive" }
 
 // ObserveArrival is a no-op: the reactive policy needs no history.
 func (*Reactive) ObserveArrival(int, time.Duration) {}
+
+// CountDriven marks Reactive as an autoscale.CountDriven policy: its
+// formula reads only Outstanding and InstanceTarget.
+func (*Reactive) CountDriven() {}
 
 // Desired implements the legacy formula: ⌈Outstanding/InstanceTarget⌉,
 // zero when nothing is outstanding.

@@ -27,6 +27,9 @@ func (d *Deque[T]) PushBack(v T) {
 // called on an empty deque (guard with Len).
 func (d *Deque[T]) Front() T { return d.buf[d.head] }
 
+// front points at the head element in place (non-empty deque only).
+func (d *Deque[T]) front() *T { return &d.buf[d.head] }
+
 // PopFront removes and returns the head element. It must not be called
 // on an empty deque (guard with Len).
 func (d *Deque[T]) PopFront() T {

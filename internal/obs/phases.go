@@ -121,9 +121,6 @@ func (b *PhaseBreakdown) Phases() []string { return append([]string(nil), b.orde
 // Duration reports a phase's accumulated exclusive time.
 func (b *PhaseBreakdown) Duration(phase string) time.Duration { return b.totals[phase] }
 
-// Count reports how many attributions charged the phase.
-func (b *PhaseBreakdown) Count(phase string) int { return b.counts[phase] }
-
 // Total sums all phases — by construction, exactly the summed extents
 // handed to AddExclusive (plus direct Adds).
 func (b *PhaseBreakdown) Total() time.Duration {

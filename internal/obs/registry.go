@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/medusa-repro/medusa/internal/metrics"
 )
@@ -12,9 +13,10 @@ import (
 // Registry is a lightweight, name-keyed collection of counters, gauges
 // and latency samples — the replacement for ad-hoc metrics plumbing.
 // Instruments are created on first use, so readers and writers need no
-// registration handshake. Safe for concurrent use; values are plain
-// (no atomics needed — simulators are single-goroutine, and the mutex
-// covers the rest).
+// registration handshake. Safe for concurrent use: a mutex guards the
+// name lookups and each gauge, and counters are atomic, so the
+// simulator's single-goroutine loop increments them without taking a
+// lock.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -44,8 +46,7 @@ func NewRegistry() *Registry {
 
 // Counter is a monotonically increasing count.
 type Counter struct {
-	mu sync.Mutex
-	v  int64
+	v atomic.Int64
 }
 
 // Inc adds one.
@@ -56,17 +57,11 @@ func (c *Counter) Add(n int64) {
 	if n < 0 {
 		panic(fmt.Sprintf("obs: counter decrement by %d", n))
 	}
-	c.mu.Lock()
-	c.v += n
-	c.mu.Unlock()
+	c.v.Add(n)
 }
 
 // Value reads the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
+func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous level that also tracks its high-water mark
 // (peak instances, live requests, …).

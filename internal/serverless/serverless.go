@@ -456,6 +456,11 @@ type MultiResult struct {
 // plan's node crashes are dropped here, and its registry and template
 // sites never draw.
 func RunMulti(cfg MultiConfig) (*MultiResult, error) {
+	return RunFleet(poolFleet(cfg))
+}
+
+// poolFleet builds the one-node fleet RunMulti runs.
+func poolFleet(cfg MultiConfig) Fleet {
 	if cfg.NumGPUs == 0 {
 		cfg.NumGPUs = 4
 	}
@@ -465,12 +470,12 @@ func RunMulti(cfg MultiConfig) (*MultiResult, error) {
 		plan.NodeCrashes = nil
 		faultSpec.Plan = &plan
 	}
-	return RunFleet(Fleet{
+	return Fleet{
 		Nodes:       []Node{{GPUs: cfg.NumGPUs}},
 		Deployments: cfg.Deployments,
 		Arrivals:    cfg.Arrivals,
 		Faults:      faultSpec,
-	})
+	}
 }
 
 // Run simulates serving one deployment's trace and returns its latency

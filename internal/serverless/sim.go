@@ -30,6 +30,12 @@ import (
 //
 //   - Events live in an eventq.Queue (monomorphized 4-ary heap, no
 //     interface boxing) with the (time, push-sequence) tie-break.
+//     Streams already in time order skip the heap on FIFO lanes:
+//     sourced arrivals on one lane, each deployment's idle checks on
+//     another (its idle timeout is constant, so they arm in order).
+//   - Control ticks a count-driven autoscaler (autoscale.CountDriven)
+//     would evaluate to no launch are skipped: a generation counter
+//     tracks the counts its Desired reads and node capacity.
 //   - Arrivals are pulled lazily from an ArrivalSource — exactly one
 //     undelivered arrival is in flight at any time, so neither the
 //     trace nor its events are ever materialized in full.
@@ -205,6 +211,8 @@ type depState struct {
 	seenArr  bool
 	lastDone time.Duration
 	rng      *rand.Rand
+	// idleLane carries the deployment's idle checks (see markIdle).
+	idleLane eventq.Lane
 
 	// Cached registry instruments (hot path).
 	cCompleted  *obs.Counter
@@ -294,6 +302,19 @@ type simulation struct {
 
 	now    time.Duration
 	events eventq.Queue[event]
+	// arrivals is the lane sourced arrivals travel on: pullArrival
+	// rejects a stream that goes backwards, so it is in order.
+	arrivals eventq.Lane
+
+	// countDriven caches whether scaler implements
+	// autoscale.CountDriven. gen counts changes to what such a policy's
+	// Desired reads (a deployment's outstanding and live counts) and to
+	// node capacity (GPUs in use, crashes); tickedGen is gen as the last
+	// full tick left it. While the two match, every deployment is
+	// satisfied or blocked for lack of a node with room, as that tick
+	// ended, so tick returns at once.
+	countDriven    bool
+	gen, tickedGen uint64
 
 	// Free-lists for recycled state objects.
 	reqPool  []*reqState
@@ -392,12 +413,16 @@ func (s *simulation) pullArrival() error {
 	}
 	s.created++
 	s.head = r
-	s.events.Push(req.Arrival, event{kind: evArrival, req: r})
+	s.events.PushLane(s.arrivals, req.Arrival, event{kind: evArrival, req: r})
 	return nil
 }
 
 func (s *simulation) run() (*MultiResult, error) {
+	s.arrivals = s.events.NewLane()
+	_, s.countDriven = s.scaler.(autoscale.CountDriven)
+	s.tickedGen = s.gen - 1 // the first tick evaluates in full
 	for di, d := range s.deps {
+		d.idleLane = s.events.NewLane()
 		// Pre-warmed instances occupy GPUs from time zero, placed like
 		// any launch but charged no cold start.
 		for i := 0; i < d.cfg.Scheduler.Prewarm; i++ {
@@ -412,6 +437,7 @@ func (s *simulation) run() (*MultiResult, error) {
 			s.nodeUp(node)
 			d.active = append(d.active, inst)
 			d.live++
+			s.gen++
 		}
 		d.liveChanged()
 	}
@@ -437,6 +463,7 @@ func (s *simulation) run() (*MultiResult, error) {
 			}
 			d.pending.PushBack(r)
 			d.outstanding++
+			s.gen++
 			s.scaler.ObserveArrival(r.dep, r.Arrival)
 			if r == s.head {
 				if err := s.pullArrival(); err != nil {
@@ -539,6 +566,7 @@ func (s *simulation) retire(inst *instState) {
 	s.nodeDown(s.nodes[inst.node])
 	d.live--
 	d.liveChanged()
+	s.gen++
 	if s.now > inst.launchedAt {
 		s.gpuSeconds += (s.now - inst.launchedAt).Seconds() * float64(d.cfg.TPDegree)
 	}
@@ -596,8 +624,13 @@ func (s *simulation) assemble() *MultiResult {
 // retirement, node crash) funnels here. Each deployment's desired
 // instance count comes from the autoscale policy, and launches repeat
 // round-robin, so no model starves, until every policy is satisfied or
-// no node can host another instance.
+// no node can host another instance. Under a count-driven policy a tick
+// with nothing changed since the last full one returns at once (see
+// gen).
 func (s *simulation) tick() error {
+	if s.countDriven && s.gen == s.tickedGen {
+		return nil
+	}
 	progress := true
 	for progress {
 		progress = false
@@ -611,6 +644,7 @@ func (s *simulation) tick() error {
 			}
 		}
 	}
+	s.tickedGen = s.gen
 	return nil
 }
 
@@ -717,6 +751,7 @@ func (s *simulation) launchOne(di int) (bool, error) {
 	d.cColdStarts.Inc()
 	d.live++
 	d.liveChanged()
+	s.gen++
 
 	intervals := s.scratchIntervals[:0]
 	loadStart := s.now
@@ -937,6 +972,7 @@ func (s *simulation) crashNode(id int) error {
 		return nil
 	}
 	node.crashed = true
+	s.gen++
 	if node.cache != nil {
 		node.cache.MarkLost()
 	}
@@ -1201,6 +1237,7 @@ func (s *simulation) complete(d *depState, r *reqState) {
 	d.cCompleted.Inc()
 	s.completed++
 	d.outstanding--
+	s.gen++
 	if s.now > d.lastDone {
 		d.lastDone = s.now
 	}
@@ -1405,11 +1442,13 @@ func (s *simulation) maybeFollowUp(r *reqState) {
 	s.events.Push(next.Arrival, event{kind: evArrival, req: next})
 }
 
-// markIdle stamps the instance idle and arms the retirement timer.
+// markIdle stamps the instance idle and arms the retirement timer on
+// the deployment's idle lane: the timeout is constant per deployment,
+// so checks arm in the order they fire.
 func (s *simulation) markIdle(inst *instState) {
 	inst.idleSince = s.now
-	if s.deps[inst.dep].cfg.Scheduler.IdleTimeout > 0 {
-		s.events.Push(s.now+s.deps[inst.dep].cfg.Scheduler.IdleTimeout,
+	if d := s.deps[inst.dep]; d.cfg.Scheduler.IdleTimeout > 0 {
+		s.events.PushLane(d.idleLane, s.now+d.cfg.Scheduler.IdleTimeout,
 			event{kind: evIdleCheck, inst: inst, epoch: inst.epoch})
 	}
 }

@@ -27,9 +27,6 @@ func New(vocab int) (*Tokenizer, error) {
 	return &Tokenizer{vocab: vocab}, nil
 }
 
-// VocabSize returns the vocabulary size.
-func (t *Tokenizer) VocabSize() int { return t.vocab }
-
 // Encode converts text to token IDs. Canonical tokens ("tok<i>") map
 // to their ID; other words hash deterministically into the vocabulary.
 func (t *Tokenizer) Encode(text string) []uint32 {
